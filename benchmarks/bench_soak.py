@@ -72,7 +72,7 @@ class ArtifactsRetrainer:
     def __len__(self) -> int:
         return 10**6
 
-    def observe(self, chunk_trace) -> None:
+    def observe(self, packets, flow_idx=None) -> None:
         pass
 
     def retrain(self):

@@ -23,31 +23,20 @@ Python loop.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.datasets.packet import FiveTuple, Packet
 from repro.datasets.trace import Trace
-from repro.switch.batch import bi_hash_batch
+from repro.switch.batch import bi_hash_batch, packet_tuples
 from repro.switch.hashing import bi_hash
 
 #: Router hash salt — distinct from the flow store's table salts (1, 2)
 #: so shard assignment and in-shard slot placement are independent hash
 #: streams of the same tuple.
 ROUTER_SALT = 0xC1D
-
-#: C-level 5-tuple field extractor for the vectorised path.
-_TUPLE_FIELDS = operator.attrgetter(
-    "five_tuple.src_ip",
-    "five_tuple.dst_ip",
-    "five_tuple.src_port",
-    "five_tuple.dst_port",
-    "five_tuple.protocol",
-)
 
 
 @dataclass(frozen=True)
@@ -64,6 +53,8 @@ class ShardPartition:
     shards: List[List[Packet]]
     indices: List[np.ndarray]
     assignments: np.ndarray  #: packet → shard id, in original order
+    #: ``(n, 5)`` packet-direction tuples the routing was computed from.
+    fields: np.ndarray
 
     @property
     def n_packets(self) -> int:
@@ -126,17 +117,7 @@ class FlowShardRouter:
 
     def shard_indices(self, packets: Sequence[Packet]) -> np.ndarray:
         """Vectorised shard id per packet."""
-        n = len(packets)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.n_shards == 1:
-            return np.zeros(n, dtype=np.int64)
-        flat = np.fromiter(
-            chain.from_iterable(map(_TUPLE_FIELDS, packets)),
-            dtype=np.int64,
-            count=5 * n,
-        ).reshape(n, 5)
-        return self.shard_indices_fields(flat)
+        return self.shard_indices_fields(packet_tuples(packets))
 
     def shard_indices_fields(self, flat: np.ndarray) -> np.ndarray:
         """Vectorised shard id per row of an ``(n, 5)`` raw 5-tuple array
@@ -179,11 +160,14 @@ class FlowShardRouter:
         ordered sub-sequence per shard."""
         if isinstance(packets, Trace):
             packets = packets.packets
-        assignments = self.shard_indices(packets)
+        fields = packet_tuples(packets)
+        assignments = self.shard_indices_fields(fields)
         shards: List[List[Packet]] = []
         indices: List[np.ndarray] = []
         for k in range(self.n_shards):
             idx = np.flatnonzero(assignments == k)
             indices.append(idx)
             shards.append([packets[i] for i in idx])
-        return ShardPartition(shards=shards, indices=indices, assignments=assignments)
+        return ShardPartition(
+            shards=shards, indices=indices, assignments=assignments, fields=fields
+        )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,9 +65,9 @@ from repro.runtime.stream import (
     as_chunk_iter,
     chunk_ranges,
 )
-from repro.switch.batch import TraceColumns
+from repro.switch.batch import TraceColumns, canonical_flow_index
 from repro.switch.pipeline import PacketDecision, SwitchPipeline
-from repro.switch.runner import ReplayResult
+from repro.switch.runner import ChainedDecisions, DecisionView
 from repro.telemetry import get_registry, span
 from repro.utils.rng import SeedLike, as_rng, spawn_seeds
 
@@ -113,6 +113,30 @@ class RowPartition:
         return [int(n) for n in self.lengths]
 
 
+class GatheredDecisions(DecisionView):
+    """Global-order view over per-shard decision sequences.
+
+    Position *i* of the chunk is ``parts[shard[i]][local[i]]``; nothing
+    is copied or built until a decision is read.
+    """
+
+    __slots__ = ("_parts", "_shard", "_local")
+
+    def __init__(self, parts: List, indices: List[np.ndarray], n: int) -> None:
+        self._parts = parts
+        self._shard = np.empty(n, dtype=np.int64)
+        self._local = np.empty(n, dtype=np.int64)
+        for k, idx in enumerate(indices):
+            self._shard[idx] = k
+            self._local[idx] = np.arange(idx.size)
+
+    def __len__(self) -> int:
+        return int(self._shard.shape[0])
+
+    def _at(self, i: int) -> PacketDecision:
+        return self._parts[self._shard[i]][self._local[i]]
+
+
 @dataclass(frozen=True)
 class ClusterSwapEvent:
     """One cluster-wide two-phase table update attempt."""
@@ -136,9 +160,10 @@ class ClusterReplayResult:
 
     y_true: np.ndarray
     y_pred: np.ndarray
-    #: Global-order decisions; empty when workers ran with
-    #: ``keep_decisions=False`` (multiprocess executor).
-    decisions: List[PacketDecision] = field(default_factory=list)
+    #: Global-order decisions (a lazy view over the shards' own); empty
+    #: when workers ran with ``keep_decisions=False`` (multiprocess and
+    #: shm executors).
+    decisions: Sequence = field(default_factory=list)
     #: Summed pipeline+controller counter deltas across shards.
     counters: Dict[str, int] = field(default_factory=dict)
     shard_sizes: List[int] = field(default_factory=list)
@@ -175,7 +200,8 @@ class ClusterServeReport:
     chunk_offsets: List[int] = field(default_factory=list)
     #: Operator control tickets applied during the run (ops surface).
     control_events: List[Dict] = field(default_factory=list)
-    decisions: List[PacketDecision] = field(default_factory=list)
+    #: One lazy view per chunk, as on :class:`~repro.runtime.service.ServeReport`.
+    decisions: ChainedDecisions = field(default_factory=ChainedDecisions)
     y_true: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     y_pred: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -352,16 +378,15 @@ class ClusterService(OpsControlMixin):
         y_true = np.empty(n, dtype=int)
         y_pred = np.empty(n, dtype=int)
         counters: Dict[str, int] = {}
-        decisions: List[Optional[PacketDecision]] = (
-            [None] * n if all(o.decisions is not None for o in outcomes) else []
-        )
+        decisions: Sequence = []
+        if all(o.decisions is not None for o in outcomes):
+            decisions = GatheredDecisions(
+                [o.decisions for o in outcomes], partition.indices, n
+            )
         for k, out in enumerate(outcomes):
             idx = partition.indices[k]
             y_true[idx] = out.y_true
             y_pred[idx] = out.y_pred
-            if decisions and out.decisions is not None:
-                for i, d in zip(idx, out.decisions):
-                    decisions[i] = d
             for name, delta in out.counter_deltas.items():
                 counters[name] = counters.get(name, 0) + delta
         return ClusterReplayResult(
@@ -429,7 +454,9 @@ class ClusterService(OpsControlMixin):
     ):
         """Packet-list transport: route each chunk, ship per-shard
         packet payloads, collect outcomes.  Yields
-        ``(chunk, partition, outcomes)`` per global chunk.  *source* may
+        ``(chunk, partition, outcomes, tuples)`` per global chunk, where
+        *tuples* are the ``(n, 5)`` packet tuples routing extracted (the
+        reservoir groups flows from them).  *source* may
         be a materialised trace or a streaming packet source — routing
         consumes one chunk at a time either way, so streaming scenarios
         serve in O(chunk) memory."""
@@ -443,7 +470,7 @@ class ClusterService(OpsControlMixin):
                     k, "replay_chunk", self._ship(partition.shards[k]), index
                 )
             outcomes = [self._executor.collect(k) for k in range(self.n_shards)]
-            yield chunk, partition, outcomes
+            yield chunk, partition, outcomes, partition.fields
 
     def _iter_shm_chunks(self, trace: Trace, ranges, start_index: int):
         """Shared-memory transport: write the whole trace into the
@@ -455,8 +482,9 @@ class ClusterService(OpsControlMixin):
         shard's share of every chunk is one contiguous row range (a
         single descriptor) while within-shard arrival order — the order
         the packet-list transport's router preserves — is untouched.
-        Yields the same ``(chunk, partition, outcomes)`` triples as
-        :meth:`_iter_routed_chunks`.
+        Yields the same ``(chunk, partition, outcomes, tuples)`` as
+        :meth:`_iter_routed_chunks`, *tuples* being the chunk's rows of
+        the column build's tuple array.
         """
         ex = self._executor
         packets = trace.packets
@@ -488,8 +516,8 @@ class ClusterService(OpsControlMixin):
         row = 0
         for offset_i, partition in enumerate(plans):
             index = start_index + offset_i
-            chunk = Trace(packets[row : row + partition.n_packets])
-            row += partition.n_packets
+            stop = row + partition.n_packets
+            chunk = Trace.from_sorted(packets[row:stop])
             for k in range(self.n_shards):
                 ex.dispatch_descriptor(
                     k, int(partition.offsets[k]), int(partition.lengths[k]), index
@@ -500,7 +528,8 @@ class ClusterService(OpsControlMixin):
                 )
                 for k in range(self.n_shards)
             ]
-            yield chunk, partition, outcomes
+            yield chunk, partition, outcomes, cols.tuples[row:stop]
+            row = stop
 
     def _collect_shm_outcome(
         self, shard_id: int, offset: int, length: int
@@ -547,7 +576,9 @@ class ClusterService(OpsControlMixin):
                     "executor='multiprocess' for streaming sources, or "
                     "materialise() the scenario first"
                 )
-            trace = Trace(source.packets[skip_packets:]) if skip_packets else source
+            trace = source
+            if skip_packets:
+                trace = Trace.from_sorted(source.packets[skip_packets:])
             return self._iter_shm_chunks(
                 trace, chunk_ranges(len(trace.packets), chunk_size), start_index
             )
@@ -578,8 +609,8 @@ class ClusterService(OpsControlMixin):
                         k, "replay_chunk", self._ship(partition.shards[k]), 0
                     )
                 outcomes = [self._executor.collect(k) for k in range(self.n_shards)]
-                replays = iter([(trace, partition, outcomes)])
-            _, partition, outcomes = next(replays)
+                replays = iter([(trace, partition, outcomes, partition.fields)])
+            _, partition, outcomes, _ = next(replays)
         merged = self._merge_outcomes(partition, outcomes)
         self._publish_chunk(merged, outcomes)
         return merged
@@ -919,7 +950,7 @@ class ClusterService(OpsControlMixin):
             if registry.enabled:
                 registry.gauge("cluster.n_shards").set(float(self.n_shards))
             chunk_start = time.perf_counter()
-            for chunk, partition, outcomes in self._iter_chunk_replays(
+            for chunk, partition, outcomes, tuples in self._iter_chunk_replays(
                 trace, cfg.chunk_size, report.n_chunks, skip_packets=skip_packets
             ):
                 index = report.n_chunks  # == start_index + offset
@@ -941,7 +972,7 @@ class ClusterService(OpsControlMixin):
                 report.decisions.extend(merged.decisions)
                 report.y_true = np.concatenate([report.y_true, merged.y_true])
                 report.y_pred = np.concatenate([report.y_pred, merged.y_pred])
-                self.retrainer.observe(chunk)
+                self.retrainer.observe(chunk.packets, canonical_flow_index(tuples))
 
                 drifted = False
                 if self.monitor is not None:

@@ -207,7 +207,10 @@ class ShardWorker:
         before = self._counters()
         # The worker never publishes: the coordinator owns telemetry.
         with use_registry(None):
-            replay = replay_trace(Trace(packets), self.pipeline, mode=self.mode)
+            # Router slices keep the chunk's arrival order.
+            replay = replay_trace(
+                Trace.from_sorted(packets), self.pipeline, mode=self.mode
+            )
             self._policy_tick(packets[-1].timestamp if packets else None)
         after = self._counters()
         deltas = {k: after[k] - before.get(k, 0) for k in after}
@@ -250,7 +253,7 @@ class ShardWorker:
                 y_true, y_pred = outcome.y_true, outcome.y_pred
             else:
                 replay = replay_trace(
-                    Trace(cols.to_packets()), self.pipeline, mode=self.mode
+                    Trace.from_sorted(cols.to_packets()), self.pipeline, mode=self.mode
                 )
                 y_true, y_pred = replay.y_true, replay.y_pred
                 if self.keep_decisions:

@@ -23,6 +23,18 @@ class Trace:
     def __post_init__(self) -> None:
         self.packets = sorted(self.packets, key=lambda p: p.timestamp)
 
+    @classmethod
+    def from_sorted(cls, packets: List[Packet]) -> "Trace":
+        """Adopt *packets*, already in timestamp order, without re-sorting.
+
+        For producers that emit packets in arrival order (stream chunks,
+        slices of a trace, heap merges); the list is taken over, not
+        copied, so the caller must not mutate it afterwards.
+        """
+        trace = cls.__new__(cls)
+        trace.packets = packets
+        return trace
+
     def __len__(self) -> int:
         return len(self.packets)
 
@@ -79,10 +91,7 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
     Uses a k-way heap merge so large traces combine in O(n log k).
     """
     streams = [t.packets for t in traces if t.packets]
-    merged = list(heapq.merge(*streams, key=lambda p: p.timestamp))
-    out = Trace()
-    out.packets = merged  # already sorted; skip re-sort in __post_init__
-    return out
+    return Trace.from_sorted(list(heapq.merge(*streams, key=lambda p: p.timestamp)))
 
 
 def flows_to_trace(flows: Sequence[Sequence[Packet]]) -> Trace:

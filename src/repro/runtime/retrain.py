@@ -23,10 +23,10 @@ import numpy as np
 
 from repro.core.deployment import SwitchArtifacts, compile_switch_artifacts
 from repro.core.iguard import IGuard
-from repro.datasets.trace import Trace
 from repro.features.flow_features import FlowFeatureExtractor
 from repro.nn.autoencoder import MagnifierAutoencoder
 from repro.nn.ensemble import AutoencoderEnsemble
+from repro.switch.batch import canonical_flow_index, packet_tuples
 from repro.utils.rng import SeedLike, as_rng, spawn_seeds
 
 
@@ -68,20 +68,41 @@ class FlowReservoir:
     def __len__(self) -> int:
         return len(self._flows)
 
-    def add(self, flow: Sequence) -> None:
-        """Offer one flow; kept with probability capacity / seen."""
-        self.seen += 1
-        if len(self._flows) < self.capacity:
-            self._flows.append(flow)
-            return
-        slot = int(self._rng.integers(self.seen))
-        if slot < self.capacity:
-            self._flows[slot] = flow
+    def add_chunk(self, packets: Sequence, flow_idx: np.ndarray) -> None:
+        """Offer every canonical flow of one chunk, each kept with
+        probability capacity / seen (algorithm R).
 
-    def add_trace(self, trace: Trace) -> None:
-        """Offer every bidirectional flow of a chunk trace."""
-        for flow in trace.bidirectional_flows().values():
-            self.add(flow)
+        *flow_idx* labels each packet of *packets* with its canonical
+        flow (equal labels ⇔ same bidirectional flow).  Flows are offered
+        in order of first appearance, and once the reservoir is full each
+        offer takes the draw ``integers(seen)`` — one batched call whose
+        draws and end state equal the per-flow calls.  Packet lists are
+        built only for the flows still held at the end of the chunk, each
+        in arrival order.
+        """
+        flow_idx = np.asarray(flow_idx)
+        if not flow_idx.size:
+            return
+        labels, first = np.unique(flow_idx, return_index=True)
+        offered = labels[np.argsort(first)].tolist()
+        m = len(offered)
+        start = len(self._flows)
+        fill = min(m, self.capacity - start)
+        taken = dict(zip(range(start, start + fill), offered[:fill]))
+        self._flows.extend([None] * fill)
+        if fill < m:
+            highs = np.arange(self.seen + fill + 1, self.seen + m + 1)
+            draws = self._rng.integers(highs)
+            for j in np.flatnonzero(draws < self.capacity).tolist():
+                taken[int(draws[j])] = offered[fill + j]
+        self.seen += m
+        if not taken:
+            return
+        order = np.argsort(flow_idx, kind="stable")
+        grouped = flow_idx[order]
+        for slot, label in taken.items():
+            lo, hi = np.searchsorted(grouped, [label, label + 1])
+            self._flows[slot] = [packets[i] for i in order[lo:hi].tolist()]
 
     def flows(self) -> List[Sequence]:
         return list(self._flows)
@@ -124,9 +145,19 @@ class Retrainer:
     def __len__(self) -> int:
         return len(self.reservoir)
 
-    def observe(self, chunk_trace: Trace) -> None:
-        """Fold one served chunk's flows into the reservoir."""
-        self.reservoir.add_trace(chunk_trace)
+    def observe(
+        self, packets: Sequence, flow_idx: Optional[np.ndarray] = None
+    ) -> None:
+        """Fold one served chunk's flows into the reservoir.
+
+        *flow_idx* is the per-packet canonical flow label the caller
+        already holds (the batch replay's ``flow_idx``, or
+        :func:`~repro.switch.batch.canonical_flow_index` of the routed
+        tuples); when omitted it is computed from *packets*.
+        """
+        if flow_idx is None:
+            flow_idx = canonical_flow_index(packet_tuples(packets))
+        self.reservoir.add_chunk(packets, flow_idx)
 
     def retrain(self) -> SwitchArtifacts:
         """Refit on the reservoir and recompile install-ready artifacts."""

@@ -33,7 +33,8 @@ from repro.runtime.control import OpsControlMixin
 from repro.runtime.drift import DriftMonitor
 from repro.runtime.retrain import Retrainer
 from repro.runtime.stream import ChunkStats, PacketSource, StreamDriver
-from repro.switch.pipeline import PacketDecision, SwitchPipeline
+from repro.switch.pipeline import SwitchPipeline
+from repro.switch.runner import ChainedDecisions
 from repro.telemetry import get_registry, span
 from repro.utils.rng import SeedLike
 
@@ -119,7 +120,9 @@ class ServeReport:
     chunk_offsets: List[int] = field(default_factory=list)
     #: Operator control tickets applied during the run (ops surface).
     control_events: List[Dict] = field(default_factory=list)
-    decisions: List[PacketDecision] = field(default_factory=list)
+    #: Every served decision, in order: one lazy view per chunk
+    #: (:class:`~repro.switch.runner.ChainedDecisions`).
+    decisions: ChainedDecisions = field(default_factory=ChainedDecisions)
     y_true: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     y_pred: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -431,7 +434,7 @@ class OnlineDetectionService(OpsControlMixin):
                     report.decisions.extend(chunk.replay.decisions)
                     report.y_true = np.concatenate([report.y_true, chunk.replay.y_true])
                     report.y_pred = np.concatenate([report.y_pred, chunk.replay.y_pred])
-                    self.retrainer.observe(chunk.trace)
+                    self.retrainer.observe(chunk.trace.packets, chunk.replay.flow_idx)
 
                     drifted = False
                     if self.monitor is not None:

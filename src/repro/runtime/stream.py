@@ -52,7 +52,7 @@ def iter_chunks(trace: Trace, chunk_size: int) -> Iterator[Trace]:
     """
     packets = trace.packets
     for start, stop in chunk_ranges(len(packets), chunk_size):
-        yield Trace(packets[start:stop])
+        yield Trace.from_sorted(packets[start:stop])
 
 
 def _source_packets(source: PacketSource, chunk_size: int) -> Iterator[Packet]:
@@ -80,6 +80,8 @@ def as_chunk_iter(
     iterable — is buffered into *exact* ``chunk_size`` chunks.  Chunk
     boundaries therefore land at identical packet offsets on both paths,
     which is what makes streaming-vs-materialised replays bit-identical.
+    Chunks adopt their packets as given, without re-sorting, so a plain
+    packet iterable must already be in timestamp order.
 
     ``skip_packets`` drops that many leading packets first (checkpoint
     resume: boundaries are packet-count-aligned, so skipping a chunk
@@ -94,7 +96,7 @@ def as_chunk_iter(
     if isinstance(source, Trace):
         packets = source.packets[skip_packets:] if skip_packets else source.packets
         for start, stop in chunk_ranges(len(packets), chunk_size):
-            yield Trace(packets[start:stop])
+            yield Trace.from_sorted(packets[start:stop])
         return
     packet_iter = _source_packets(source, chunk_size)
     if skip_packets:
@@ -103,10 +105,10 @@ def as_chunk_iter(
     for pkt in packet_iter:
         buf.append(pkt)
         if len(buf) == chunk_size:
-            yield Trace(buf)
+            yield Trace.from_sorted(buf)
             buf = []
     if buf:
-        yield Trace(buf)
+        yield Trace.from_sorted(buf)
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,7 @@ class ScenarioStream:
             yield self._emit_chunk(buf)
 
     def _emit_chunk(self, packets: List[Packet]) -> Trace:
-        chunk = Trace(packets)
+        chunk = Trace.from_sorted(packets)  # iter_packets yields in time order
         registry = get_registry()
         if registry.enabled:
             n = len(packets)
@@ -247,7 +247,7 @@ class ScenarioStream:
                     f"scenario {self.scenario.name!r} exceeds max_packets="
                     f"{max_packets}; use the streaming path (iter_chunks)"
                 )
-        return Trace(packets)
+        return Trace.from_sorted(packets)
 
     def training_flows(self, n_flows: int, seed: Optional[int] = None):
         """Benign-only flows drawn from the scenario's tenant populations.

@@ -5,9 +5,11 @@ accounting model behind Table 1."""
 
 from repro.switch.batch import (
     BatchReplayOutcome,
+    DecisionColumns,
     RangeIntervalMatcher,
     TraceArrays,
     bi_hash_batch,
+    canonical_flow_index,
     replay_arrays,
     replay_trace_batch,
 )
@@ -56,6 +58,8 @@ from repro.switch.resources import (
 from repro.switch.runner import (
     PIPELINE_LATENCY_NS,
     REPLAY_MODES,
+    ChainedDecisions,
+    DecisionView,
     ReplayResult,
     ThroughputReport,
     replay_trace,
@@ -88,9 +92,12 @@ __all__ = [
     "REPLAY_MODES",
     "BatchReplayOutcome",
     "BlacklistTable",
+    "ChainedDecisions",
     "Checkpoint",
     "Controller",
     "ControllerStats",
+    "DecisionColumns",
+    "DecisionView",
     "Digest",
     "DoubleHashTable",
     "FlowState",
@@ -109,6 +116,7 @@ __all__ = [
     "bi_hash",
     "bi_hash_batch",
     "build_checkpoint_rules",
+    "canonical_flow_index",
     "generate_p4_program",
     "generate_table_entries",
     "memory_fraction",

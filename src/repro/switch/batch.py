@@ -57,6 +57,7 @@ from repro.switch.pipeline import (
     PacketDecision,
     SwitchPipeline,
 )
+from repro.switch.runner import DecisionView, ReplayResult
 from repro.switch.storage import FlowState, LABEL_BENIGN, LABEL_MALICIOUS, LABEL_UNDECIDED
 
 #: Per-packet path codes in the struct-of-arrays outcome (green is not a
@@ -79,6 +80,15 @@ _PACKET_FIELDS = operator.attrgetter(
     "size",
     "ttl",
     "malicious",
+)
+
+#: Packet-direction 5-tuple extractor for :func:`packet_tuples`.
+_TUPLE_FIELDS = operator.attrgetter(
+    "five_tuple.src_ip",
+    "five_tuple.dst_ip",
+    "five_tuple.src_port",
+    "five_tuple.dst_port",
+    "five_tuple.protocol",
 )
 
 #: Full-fidelity extractor for :meth:`TraceColumns.from_packets` —
@@ -184,6 +194,78 @@ class TraceColumns:
         """Rebuild the full packet list (packets compare equal to the
         originals — the columnar form is lossless)."""
         return [self.packet_at(i) for i in range(len(self))]
+
+
+def packet_tuples(packets) -> np.ndarray:
+    """``(n, 5)`` int64 5-tuples of *packets* in their own direction
+    (``as_tuple`` order), extracted in one C-level pass."""
+    n = len(packets)
+    return np.fromiter(
+        chain.from_iterable(map(_TUPLE_FIELDS, packets)),
+        dtype=np.int64,
+        count=5 * n,
+    ).reshape(n, 5)
+
+
+def _group_flows(
+    src_ip: np.ndarray,
+    dst_ip: np.ndarray,
+    src_port: np.ndarray,
+    dst_port: np.ndarray,
+    proto: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group packet-direction tuples by canonical flow.
+
+    Returns ``(flow_idx, flow_fields)``: each packet's index into the
+    ``(n_flows, 5)`` array of canonical tuples, which is ordered by
+    tuple value (not by first appearance).
+    """
+    n = int(src_ip.shape[0])
+    if not n:
+        return np.empty(0, dtype=np.int64), np.empty((0, 5), dtype=np.int64)
+    # FiveTuple.canonical(): keep the direction whose (src_ip, src_port)
+    # is lexicographically smaller.
+    swap = (src_ip > dst_ip) | ((src_ip == dst_ip) & (src_port > dst_port))
+    c_src_ip = np.where(swap, dst_ip, src_ip)
+    c_dst_ip = np.where(swap, src_ip, dst_ip)
+    c_src_port = np.where(swap, dst_port, src_port)
+    c_dst_port = np.where(swap, src_port, dst_port)
+    # The canonical tuple packs losslessly into two uint64 sort keys
+    # (32+32 and 16+16+8 bits), so a two-key lexsort replaces
+    # np.unique's row-wise void sort.
+    k1 = (c_src_ip.astype(np.uint64) << np.uint64(32)) | c_dst_ip.astype(np.uint64)
+    k2 = (
+        (c_src_port.astype(np.uint64) << np.uint64(24))
+        | (c_dst_port.astype(np.uint64) << np.uint64(8))
+        | proto.astype(np.uint64)
+    )
+    order = np.lexsort((k2, k1))
+    sk1, sk2 = k1[order], k2[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = (sk1[1:] != sk1[:-1]) | (sk2[1:] != sk2[:-1])
+    flow_idx = np.empty(n, dtype=np.int64)
+    flow_idx[order] = np.cumsum(first) - 1
+    reps = order[first]
+    flow_fields = np.stack(
+        [
+            c_src_ip[reps],
+            c_dst_ip[reps],
+            c_src_port[reps],
+            c_dst_port[reps],
+            proto[reps],
+        ],
+        axis=1,
+    )
+    return flow_idx, flow_fields
+
+
+def canonical_flow_index(tuples: np.ndarray) -> np.ndarray:
+    """Per-row canonical flow label of an ``(n, 5)`` packet-direction
+    tuple array: rows share a label exactly when they belong to the same
+    bidirectional flow — the grouping :class:`TraceArrays` replays by."""
+    tuples = np.asarray(tuples, dtype=np.int64)
+    return _group_flows(*(tuples[:, c] for c in range(5)))[0]
 
 
 def bi_hash_batch(fields: np.ndarray, salt: int = 0) -> np.ndarray:
@@ -361,47 +443,7 @@ class TraceArrays:
         malicious: np.ndarray,
         pl_matrix: np.ndarray,
     ) -> "TraceArrays":
-        n = int(timestamps.shape[0])
-        # FiveTuple.canonical(): keep the direction whose (src_ip, src_port)
-        # is lexicographically smaller.
-        swap = (src_ip > dst_ip) | ((src_ip == dst_ip) & (src_port > dst_port))
-        c_src_ip = np.where(swap, dst_ip, src_ip)
-        c_dst_ip = np.where(swap, src_ip, dst_ip)
-        c_src_port = np.where(swap, dst_port, src_port)
-        c_dst_port = np.where(swap, src_port, dst_port)
-        if n:
-            # Group packets by flow: the canonical tuple packs losslessly
-            # into two uint64 sort keys (32+32 and 16+16+8 bits), so a
-            # two-key lexsort replaces np.unique's row-wise void sort.
-            k1 = (c_src_ip.astype(np.uint64) << np.uint64(32)) | c_dst_ip.astype(
-                np.uint64
-            )
-            k2 = (
-                (c_src_port.astype(np.uint64) << np.uint64(24))
-                | (c_dst_port.astype(np.uint64) << np.uint64(8))
-                | proto.astype(np.uint64)
-            )
-            order = np.lexsort((k2, k1))
-            sk1, sk2 = k1[order], k2[order]
-            first = np.empty(n, dtype=bool)
-            first[0] = True
-            first[1:] = (sk1[1:] != sk1[:-1]) | (sk2[1:] != sk2[:-1])
-            flow_idx = np.empty(n, dtype=np.int64)
-            flow_idx[order] = np.cumsum(first) - 1
-            reps = order[first]
-            flow_fields = np.stack(
-                [
-                    c_src_ip[reps],
-                    c_dst_ip[reps],
-                    c_src_port[reps],
-                    c_dst_port[reps],
-                    proto[reps],
-                ],
-                axis=1,
-            )
-        else:
-            flow_fields = np.empty((0, 5), dtype=np.int64)
-            flow_idx = np.empty(0, dtype=np.int64)
+        flow_idx, flow_fields = _group_flows(src_ip, dst_ip, src_port, dst_port, proto)
         flow_tuples = [
             FiveTuple(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]))
             for r in flow_fields
@@ -426,6 +468,7 @@ class BatchReplayOutcome:
     y_pred: np.ndarray
     digests: Dict[int, Digest]  #: packet index → emitted digest
     rate_limited: np.ndarray = None  #: bool, packets shed by the RATE_LIMIT rung
+    flow_idx: np.ndarray = None  #: packet → canonical flow (TraceArrays.flow_idx)
 
     @property
     def n_packets(self) -> int:
@@ -445,8 +488,8 @@ def _precompute_pl_labels(
     if pipeline.pl_table is None or pipeline.pl_quantizer is None:
         return None
     q = pipeline.pl_quantizer.quantize(pl_matrix)
-    matcher = RangeIntervalMatcher(pipeline.pl_table.ruleset)
-    return matcher.predict(q).tolist()
+    # Compiled once per table generation and cached on the table.
+    return pipeline.pl_table.matcher.predict(q).tolist()
 
 
 def replay_arrays(trace: Trace, pipeline: SwitchPipeline) -> BatchReplayOutcome:
@@ -492,6 +535,7 @@ def _empty_outcome() -> BatchReplayOutcome:
         y_pred=np.empty(0, dtype=int),
         digests={},
         rate_limited=np.empty(0, dtype=bool),
+        flow_idx=np.empty(0, dtype=np.int64),
     )
 
 
@@ -718,6 +762,7 @@ def _replay_sequential(
         y_pred=preds_arr,
         digests=digests,
         rate_limited=rl_arr,
+        flow_idx=arrays.flow_idx,
     )
     # Efficacy metering against ground truth (mitigation engine only):
     # leaked = attack packets that went out; collateral = benign packets
@@ -738,47 +783,97 @@ def _replay_sequential(
     return outcome
 
 
-def replay_trace_batch(trace: Trace, pipeline: SwitchPipeline):
-    """Drop-in replacement for scalar replay: same
-    :class:`~repro.switch.runner.ReplayResult`, identical decisions."""
-    from repro.switch.runner import ReplayResult
+class DecisionColumns(DecisionView):
+    """Lazy per-packet decisions over one batch replay's outcome columns.
 
+    Holds the chunk's packets plus the path codes, verdicts, drop mask,
+    rate-limit flags and digests; a :class:`PacketDecision` is built only
+    when one is read.  Reads equal the eager decisions field for field.
+    """
+
+    __slots__ = ("_packets", "_codes", "_preds", "_drop", "_rate_limited", "_digests")
+
+    def __init__(
+        self,
+        packets,
+        codes: np.ndarray,
+        preds: np.ndarray,
+        drop: np.ndarray,
+        rate_limited: np.ndarray,
+        digests: Dict[int, Digest],
+    ) -> None:
+        self._packets = packets
+        self._codes = codes
+        self._preds = preds
+        self._drop = drop
+        self._rate_limited = rate_limited
+        self._digests = digests
+
+    def __len__(self) -> int:
+        return int(self._codes.shape[0])
+
+    def _at(self, i: int) -> PacketDecision:
+        code = int(self._codes[i])
+        return PacketDecision(
+            self._packets[i],
+            PATH_CODE_NAMES[code],
+            ACTION_DROP if self._drop[i] else ACTION_FORWARD,
+            int(self._preds[i]),
+            self._digests.get(i),
+            code == CODE_BLUE,
+            bool(self._rate_limited[i]),
+        )
+
+    def __iter__(self):
+        # Whole-view reads go column-wise: one C-level map over the
+        # PacketDecision constructor instead of per-index conversions.
+        n = len(self)
+        digest_col: List[Optional[Digest]] = [None] * n
+        for i, digest in self._digests.items():
+            digest_col[i] = digest
+        return map(
+            PacketDecision,
+            self._packets,
+            map(PATH_CODE_NAMES.__getitem__, self._codes.tolist()),
+            map(
+                (ACTION_FORWARD, ACTION_DROP).__getitem__,
+                self._drop.view(np.int8).tolist(),
+            ),
+            self._preds.tolist(),
+            digest_col,
+            (self._codes == CODE_BLUE).tolist(),
+            self._rate_limited.tolist(),
+        )
+
+
+def replay_trace_batch(trace: Trace, pipeline: SwitchPipeline) -> ReplayResult:
+    """Drop-in replacement for scalar replay: same :class:`ReplayResult`
+    and decisions, which stay columns until read (:class:`DecisionColumns`)."""
     outcome = replay_arrays(trace, pipeline)
     codes = outcome.path_codes
     n = int(codes.shape[0])
-    # Columns first, then one C-level map over the PacketDecision
-    # constructor — much cheaper than a per-packet comprehension.
-    paths = list(map(PATH_CODE_NAMES.__getitem__, codes.tolist()))
     # Red always drops; any other malicious verdict drops only on the
     # inline deployment; rate-limited packets were shed by the
     # mitigation engine after a forward verdict.
     drop_mask = (codes == CODE_RED) | outcome.rate_limited
     if pipeline.config.drop_on_malicious:
         drop_mask = drop_mask | (outcome.y_pred != 0)
-    actions = list(
-        map((ACTION_FORWARD, ACTION_DROP).__getitem__, drop_mask.view(np.int8).tolist())
-    )
-    digest_col: List[Optional[Digest]] = [None] * n
-    for i, digest in outcome.digests.items():
-        digest_col[i] = digest
-    mirrored = (codes == CODE_BLUE).tolist()
-    decisions = list(
-        map(
-            PacketDecision,
-            trace.packets,
-            paths,
-            actions,
-            outcome.y_pred.tolist(),
-            digest_col,
-            mirrored,
-            outcome.rate_limited.tolist(),
-        )
+    decisions = DecisionColumns(
+        trace.packets,
+        codes,
+        outcome.y_pred,
+        drop_mask,
+        outcome.rate_limited,
+        outcome.digests,
     )
     result = ReplayResult(
-        decisions=decisions, y_true=outcome.y_true, y_pred=outcome.y_pred
+        decisions=decisions,
+        y_true=outcome.y_true,
+        y_pred=outcome.y_pred,
+        flow_idx=outcome.flow_idx,
     )
     # Seed the result's aggregate caches from the vectorised outcome so
-    # path_counts()/dropped_fraction() never re-walk the decision list.
+    # path_counts()/dropped_fraction() never re-walk the decisions.
     result._path_counts = outcome.path_counts()
     result._dropped_fraction = float(drop_mask.mean()) if n else 0.0
     return result

@@ -19,7 +19,11 @@ advantage reflects.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -35,9 +39,90 @@ PIPELINE_LATENCY_NS = 532.8
 CONTROL_PLANE_RTT_NS = 50_000.0
 
 
+class DecisionView(Sequence):
+    """Read-only sequence of :class:`PacketDecision` built on demand.
+
+    Subclasses hold outcome columns (or other sequences) and implement
+    ``__len__`` and ``_at(i)``; a decision object exists only while it
+    is being read.  Views index, slice (into a list), iterate and
+    compare equal to lists and to other views element by element, so
+    they stand in for the eager decision list everywhere it is read.
+    """
+
+    __slots__ = ()
+
+    def _at(self, i: int) -> PacketDecision:
+        raise NotImplementedError
+
+    def __getitem__(self, idx):
+        n = len(self)
+        if isinstance(idx, slice):
+            return [self._at(i) for i in range(*idx.indices(n))]
+        i = operator.index(idx)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("decision index out of range")
+        return self._at(i)
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, DecisionView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} decisions>"
+
+
+class ChainedDecisions(DecisionView):
+    """Decision sequences joined end to end without copying.
+
+    :meth:`extend` keeps a reference to the part (O(1) per chunk), so a
+    serve report holds its chunks' views rather than a list of every
+    decision; parts must not change after they are added.
+    """
+
+    __slots__ = ("_parts", "_ends")
+
+    def __init__(self, parts=()) -> None:
+        self._parts: List[Sequence] = []
+        self._ends: List[int] = []
+        for part in parts:
+            self.extend(part)
+
+    def extend(self, part: Sequence) -> None:
+        if isinstance(part, ChainedDecisions):
+            for p in part._parts:
+                self.extend(p)
+            return
+        if len(part):
+            self._parts.append(part)
+            self._ends.append(len(self) + len(part))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _at(self, i: int) -> PacketDecision:
+        k = bisect_right(self._ends, i)
+        return self._parts[k][i - (self._ends[k - 1] if k else 0)]
+
+    def __iter__(self):
+        return chain.from_iterable(self._parts)
+
+
 @dataclass
 class ReplayResult:
     """Per-packet outcomes of one replay.
+
+    ``decisions`` is a list on the scalar engine and a lazy
+    :class:`DecisionView` on the batch engine.  ``flow_idx`` (batch
+    engine only) labels each packet with its canonical flow, the
+    grouping the reservoir reuses instead of regrouping the chunk.
 
     ``path_counts`` and ``dropped_fraction`` are derived aggregates over
     every decision; they are computed once on first access and cached
@@ -46,9 +131,10 @@ class ReplayResult:
     O(1) instead of re-walking the decision list.
     """
 
-    decisions: List[PacketDecision]
+    decisions: Sequence
     y_true: np.ndarray
     y_pred: np.ndarray
+    flow_idx: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _path_counts: Optional[Dict[str, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -82,15 +168,16 @@ class ReplayResult:
         """Concatenate this result with *others*, in order.
 
         The combined result reads as one replay of the concatenated
-        traces: decisions and verdict arrays are joined end-to-end, and
-        if every input already has its ``path_counts`` cache the merged
-        cache is the summed counts (so chunked offline analyses don't
-        re-walk millions of decisions).  ``self`` and *others* are left
+        traces: decisions (a lazy :class:`ChainedDecisions`, no copy)
+        and verdict arrays are joined end-to-end, and if every input
+        already has its ``path_counts`` cache the merged cache is the
+        summed counts (so chunked offline analyses don't re-walk
+        millions of decisions).  ``self`` and *others* are left
         untouched.
         """
         results = [self, *others]
         merged = ReplayResult(
-            decisions=[d for r in results for d in r.decisions],
+            decisions=ChainedDecisions(r.decisions for r in results),
             y_true=np.concatenate([r.y_true for r in results]),
             y_pred=np.concatenate([r.y_pred for r in results]),
         )

@@ -157,11 +157,32 @@ class RateLimitTable:
 
 
 class WhitelistTable:
-    """TCAM range table over quantised features with first-match lookup."""
+    """TCAM range table over quantised features with first-match lookup.
+
+    One table object per installed generation: staging, swapping and
+    rolling back all build a fresh table, so anything compiled from the
+    rules can be cached on the table and lives exactly as long as it.
+    """
 
     def __init__(self, ruleset: QuantizedRuleSet) -> None:
-        self.ruleset = ruleset
+        self._ruleset = ruleset
+        self._matcher = None
         self.lookup_count = 0
+
+    @property
+    def ruleset(self) -> QuantizedRuleSet:
+        return self._ruleset
+
+    @property
+    def matcher(self):
+        """The batch engine's :class:`~repro.switch.batch.RangeIntervalMatcher`
+        over this table's rules, compiled on first use and then reused by
+        every replay of this generation."""
+        if self._matcher is None:
+            from repro.switch.batch import RangeIntervalMatcher
+
+            self._matcher = RangeIntervalMatcher(self._ruleset)
+        return self._matcher
 
     def __len__(self) -> int:
         return len(self.ruleset)

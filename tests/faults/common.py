@@ -85,7 +85,7 @@ class StubRetrainer:
     def __len__(self) -> int:
         return 10**6  # always enough flows
 
-    def observe(self, chunk_trace) -> None:
+    def observe(self, packets, flow_idx=None) -> None:
         pass
 
     def retrain(self) -> SwitchArtifacts:
