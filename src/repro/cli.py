@@ -389,8 +389,8 @@ def _ops_endpoint(service, ops_port, ops_token):
         yield server
 
 
-def _print_serve_summary(report, attack: str, shift: str) -> None:
-    """Shared serve/resume summary.
+def _print_summary(report, attack: str, shift: str) -> None:
+    """Shared serve/resume summary, plus the shard lines of a cluster run.
 
     The ``final verdicts:`` line is deterministic for a given trace and
     schedule (no wall-clock quantities), so a kill-and-resume run can be
@@ -425,10 +425,8 @@ def _print_serve_summary(report, attack: str, shift: str) -> None:
     malicious = int(np.sum(report.y_pred == 1))
     print(f"final verdicts: benign={benign} malicious={malicious} "
           f"packets={report.n_packets}")
-
-
-def _print_shard_summary(report) -> None:
-    """Cluster-only lines appended to the shared serve summary."""
+    if report.n_shards <= 1:
+        return
     dist = "  ".join(
         f"shard{k}={n}" for k, n in enumerate(report.shard_packets)
     )
@@ -540,55 +538,47 @@ def _cmd_serve(args) -> int:
         "shards": args.shards,
     }
 
+    fleet = contextlib.nullcontext()
     if args.shards > 1:
         from repro.cluster import ClusterCheckpointManager, ClusterService
 
-        checkpoint = None
-        if args.checkpoint:
-            checkpoint = ClusterCheckpointManager(
-                args.checkpoint, every=args.checkpoint_every, meta=checkpoint_meta
-            )
-        with ClusterService(
+        service = fleet = ClusterService(
             pipeline,
             n_shards=args.shards,
             config=config,
             executor=args.cluster_executor,
             seed=args.seed,
             faults_spec=args.faults,
-        ) as cluster:
-            with _ops_endpoint(cluster, args.ops_port, args.ops_token):
-                report = cluster.serve(source, checkpoint=checkpoint)
-            mitigation = cluster.mitigation_status() if args.policy else None
-        _print_serve_summary(report, label, shift_label)
-        _print_shard_summary(report)
-        if mitigation is not None:
-            totals = mitigation["totals"]
-            print(
-                f"mitigation: {totals['active_blocks']} blocks active, "
-                f"{totals['attack_dropped_packets']} attack pkts dropped, "
-                f"{totals['attack_leaked_packets']} leaked, "
-                f"{totals['benign_dropped_packets']} benign dropped"
-            )
-        return 0
-
-    faults = None
-    if args.faults:
+        )
+        manager = ClusterCheckpointManager
+    else:
         from repro.faults import FaultPlan
 
-        faults = FaultPlan.from_spec(args.faults)
+        faults = FaultPlan.from_spec(args.faults) if args.faults else None
+        service = OnlineDetectionService(
+            pipeline, config=config, seed=args.seed, faults=faults
+        )
+        manager = CheckpointManager
     checkpoint = None
     if args.checkpoint:
-        checkpoint = CheckpointManager(
+        checkpoint = manager(
             args.checkpoint, every=args.checkpoint_every, meta=checkpoint_meta
         )
-    service = OnlineDetectionService(
-        pipeline, config=config, seed=args.seed, faults=faults
-    )
-    with _ops_endpoint(service, args.ops_port, args.ops_token):
-        report = service.serve(source, checkpoint=checkpoint)
-    _print_serve_summary(report, label, shift_label)
-    status = service.mitigation_status()
-    if status is not None:
+    with fleet:
+        with _ops_endpoint(service, args.ops_port, args.ops_token):
+            report = service.serve(source, checkpoint=checkpoint)
+        status = service.mitigation_status()
+    _print_summary(report, label, shift_label)
+    if status is not None and "totals" in status:
+        # Cluster: summed over the shards' engines.
+        totals = status["totals"]
+        print(
+            f"mitigation: {totals['active_blocks']} blocks active, "
+            f"{totals['attack_dropped_packets']} attack pkts dropped, "
+            f"{totals['attack_leaked_packets']} leaked, "
+            f"{totals['benign_dropped_packets']} benign dropped"
+        )
+    elif status is not None:
         meter = status["meter"]
         ttb = status["time_to_block_s"]
         mean_ttb = "-" if ttb["mean"] is None else f"{ttb['mean']:.3f}s"
@@ -606,7 +596,6 @@ def _cmd_resume(args) -> int:
     from repro.cluster import (
         CLUSTER_SCHEMA,
         ClusterCheckpointManager,
-        cluster_report_from_dict,
         load_any_checkpoint,
         restore_cluster,
     )
@@ -614,7 +603,6 @@ def _cmd_resume(args) -> int:
     from repro.runtime import CheckpointManager, report_from_dict, restore_service
 
     doc = load_any_checkpoint(args.checkpoint)
-    is_cluster = doc.get("schema") == CLUSTER_SCHEMA
     meta = doc.get("meta", {})
     attack = meta.get("attack", "?")
     shift = meta.get("shift", "none")
@@ -622,14 +610,7 @@ def _cmd_resume(args) -> int:
         # Nothing to do — reprint the stored summary so callers diffing
         # output get identical verdict totals from repeated resumes.
         print(f"checkpoint {args.checkpoint} is complete; nothing to resume")
-        restored = (
-            cluster_report_from_dict(doc["report"])
-            if is_cluster
-            else report_from_dict(doc["report"])
-        )
-        _print_serve_summary(restored, attack, shift)
-        if is_cluster:
-            _print_shard_summary(restored)
+        _print_summary(report_from_dict(doc["report"]), attack, shift)
         return 0
 
     faults = None if args.no_faults else "auto"
@@ -650,30 +631,21 @@ def _cmd_resume(args) -> int:
         )
         source = split.stream_trace
     every = int(meta.get("checkpoint_every", 1))
-    if is_cluster:
+    fleet = contextlib.nullcontext()
+    if doc.get("schema") == CLUSTER_SCHEMA:
         service, report = restore_cluster(doc, faults=faults)
-        print(f"resuming {attack} from chunk {report.n_chunks} "
-              f"({report.n_packets} packets served before the crash, "
-              f"{report.n_shards} shards)")
-        checkpoint = ClusterCheckpointManager(args.checkpoint, every=every, meta=meta)
-        with service:
-            with _ops_endpoint(service, args.ops_port, args.ops_token):
-                report = service.serve(
-                    source, checkpoint=checkpoint, resume_report=report
-                )
-        _print_serve_summary(report, attack, shift)
-        _print_shard_summary(report)
-        return 0
-
-    service, report = restore_service(doc, faults=faults)
+        manager = ClusterCheckpointManager
+        fleet = service  # the cluster owns its shard fleet; reap it on exit
+    else:
+        service, report = restore_service(doc, faults=faults)
+        manager = CheckpointManager
+    shards = f", {report.n_shards} shards" if report.n_shards > 1 else ""
     print(f"resuming {attack} from chunk {report.n_chunks} "
-          f"({report.n_packets} packets served before the crash)")
-    checkpoint = CheckpointManager(args.checkpoint, every=every, meta=meta)
-    with _ops_endpoint(service, args.ops_port, args.ops_token):
-        report = service.serve(
-            source, checkpoint=checkpoint, resume_report=report
-        )
-    _print_serve_summary(report, attack, shift)
+          f"({report.n_packets} packets served before the crash{shards})")
+    checkpoint = manager(args.checkpoint, every=every, meta=meta)
+    with fleet, _ops_endpoint(service, args.ops_port, args.ops_token):
+        report = service.serve(source, checkpoint=checkpoint, resume_report=report)
+    _print_summary(report, attack, shift)
     return 0
 
 

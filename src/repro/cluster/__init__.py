@@ -23,8 +23,6 @@ Layout:
 from repro.cluster.checkpoint import (
     CLUSTER_SCHEMA,
     ClusterCheckpointManager,
-    cluster_report_from_dict,
-    cluster_report_to_dict,
     cluster_to_dict,
     load_any_checkpoint,
     restore_cluster,
@@ -41,9 +39,7 @@ from repro.cluster.executor import (
 from repro.cluster.router import ROUTER_SALT, FlowShardRouter, ShardPartition
 from repro.cluster.service import (
     ClusterReplayResult,
-    ClusterServeReport,
     ClusterService,
-    ClusterSwapEvent,
     RowPartition,
     shard_fault_plans,
 )
@@ -71,10 +67,8 @@ __all__ = [
     "SHM_PREFIX",
     "ClusterCheckpointManager",
     "ClusterReplayResult",
-    "ClusterServeReport",
     "ClusterService",
     "ClusterShm",
-    "ClusterSwapEvent",
     "FlowShardRouter",
     "InProcessExecutor",
     "MultiprocessExecutor",
@@ -88,8 +82,6 @@ __all__ = [
     "SpscRing",
     "TornReadError",
     "clone_pipeline",
-    "cluster_report_from_dict",
-    "cluster_report_to_dict",
     "cluster_to_dict",
     "load_any_checkpoint",
     "make_executor",

@@ -24,87 +24,28 @@ rebuilds the whole service + report for ``repro resume``.
 from __future__ import annotations
 
 from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-import json
-
-import numpy as np
-
-from repro.cluster.service import (
-    ClusterServeReport,
-    ClusterService,
-    ClusterSwapEvent,
-)
+from repro.cluster.service import ClusterService
 from repro.cluster.shm import unlink_segment
 from repro.cluster.worker import ShardWorker
-from repro.faults.plan import INJECTOR_TYPES, FaultPlan, parse_fault_spec
 from repro.runtime.checkpoint import (
     SCHEMA as SERVICE_SCHEMA,
     CheckpointManager,
     PathLike,
-    _chunk_stats_from_obj,
-    _chunk_stats_to_obj,
     _monitor_from_obj,
     _monitor_to_obj,
     _pipeline_from_obj,
-    _pipeline_to_obj,
+    _read_checkpoint,
     _retrainer_from_obj,
     _retrainer_to_obj,
+    report_from_dict,
+    report_to_dict,
+    restore_fault_plan,
 )
-from repro.runtime.service import RuntimeConfig
+from repro.runtime.service import RuntimeConfig, ServeReport
 
 CLUSTER_SCHEMA = "repro.cluster-checkpoint/v1"
-
-
-# --------------------------------------------------------------------------
-# Report serialisation
-# --------------------------------------------------------------------------
-
-
-def cluster_report_to_dict(report: ClusterServeReport) -> dict:
-    """Serialise a cluster serve report (``decisions`` excluded, as for
-    the single service — evaluation sugar, unbounded in size)."""
-    return {
-        "n_shards": report.n_shards,
-        "n_chunks": report.n_chunks,
-        "n_packets": report.n_packets,
-        "drift_signals": report.drift_signals,
-        "retrains": report.retrains,
-        "retrain_failures": report.retrain_failures,
-        "fault_counts": dict(report.fault_counts),
-        "shard_fault_counts": [dict(c) for c in report.shard_fault_counts],
-        "shard_packets": list(report.shard_packets),
-        "swap_events": [asdict(e) for e in report.swap_events],
-        "chunk_stats": [_chunk_stats_to_obj(s) for s in report.chunk_stats],
-        "chunk_offsets": list(report.chunk_offsets),
-        "control_events": [dict(t) for t in report.control_events],
-        "y_true": [int(v) for v in report.y_true],
-        "y_pred": [int(v) for v in report.y_pred],
-    }
-
-
-def cluster_report_from_dict(obj: dict) -> ClusterServeReport:
-    return ClusterServeReport(
-        n_shards=int(obj["n_shards"]),
-        n_chunks=int(obj["n_chunks"]),
-        n_packets=int(obj["n_packets"]),
-        drift_signals=int(obj["drift_signals"]),
-        retrains=int(obj["retrains"]),
-        retrain_failures=int(obj["retrain_failures"]),
-        fault_counts={k: int(v) for k, v in obj["fault_counts"].items()},
-        shard_fault_counts=[
-            {k: int(v) for k, v in c.items()} for c in obj["shard_fault_counts"]
-        ],
-        shard_packets=[int(v) for v in obj["shard_packets"]],
-        swap_events=[ClusterSwapEvent(**e) for e in obj["swap_events"]],
-        chunk_stats=[_chunk_stats_from_obj(s) for s in obj["chunk_stats"]],
-        chunk_offsets=[int(v) for v in obj["chunk_offsets"]],
-        # .get: checkpoints written before the ops surface lack the key.
-        control_events=[dict(t) for t in obj.get("control_events", [])],
-        y_true=np.asarray(obj["y_true"], dtype=int),
-        y_pred=np.asarray(obj["y_pred"], dtype=int),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +55,7 @@ def cluster_report_from_dict(obj: dict) -> ClusterServeReport:
 
 def cluster_to_dict(
     service: ClusterService,
-    report: ClusterServeReport,
+    report: ServeReport,
     meta: Optional[Dict] = None,
 ) -> dict:
     """One self-contained document capturing the full cluster state."""
@@ -132,43 +73,29 @@ def cluster_to_dict(
         "coordinator_faults": None
         if service.faults is None
         else service.faults.state_dict(),
-        "report": cluster_report_to_dict(report),
+        "report": report_to_dict(report),
         "retrainer": _retrainer_to_obj(service.retrainer),
         "monitor": _monitor_to_obj(service.monitor),
         "shards": service.shard_snapshots(),
     }
 
 
-def _shard_faults_from_obj(shard_doc: dict) -> Optional[FaultPlan]:
-    if shard_doc.get("faults") is None:
-        return None
-    spec = shard_doc.get("faults_spec")
-    if spec is None:
-        raise ValueError(
-            "shard checkpoint holds a fault plan built without a spec; "
-            "rebuild the worker manually and load_state() its plan"
-        )
-    # Rebuild with this shard's fan-out seed, then restore injector
-    # state, so the resumed schedule continues the uninterrupted one.
-    _, clauses = parse_fault_spec(spec)
-    plan = FaultPlan(
-        [INJECTOR_TYPES[name](**params) for name, params in clauses],
-        seed=shard_doc["faults_seed"],
-        spec=spec,
-    )
-    plan.load_state(shard_doc["faults"])
-    return plan
-
-
 def restore_shard(
-    doc: dict, shard_id: int, mode: str = "batch", keep_decisions: bool = True
+    doc: dict,
+    shard_id: int,
+    mode: str = "batch",
+    keep_decisions: bool = True,
+    with_faults: bool = True,
 ) -> ShardWorker:
     """Rebuild one shard's worker from a cluster checkpoint document.
 
     Reads only ``doc["shards"][shard_id]`` — shard sections are
     self-contained, so one crashed shard can be reconstructed (or
     inspected post-mortem) without deserialising the rest of the
-    cluster.
+    cluster.  The shard's fault plan is rebuilt with its own fan-out
+    seed and checkpointed injector states (so the resumed schedule
+    continues the uninterrupted one), or dropped when not
+    ``with_faults``.
     """
     shard_doc = doc["shards"][shard_id]
     if int(shard_doc["shard_id"]) != shard_id:
@@ -179,7 +106,11 @@ def restore_shard(
         shard_id,
         _pipeline_from_obj(shard_doc["pipeline"]),
         mode=mode,
-        faults=_shard_faults_from_obj(shard_doc),
+        faults=restore_fault_plan(
+            shard_doc.get("faults"),
+            "auto" if with_faults else None,
+            seed=shard_doc.get("faults_seed"),
+        ),
         keep_decisions=keep_decisions,
     )
     worker.chunks_processed = int(shard_doc["chunks_processed"])
@@ -192,15 +123,16 @@ def restore_cluster(
     model_factory=None,
     executor: Optional[str] = None,
     faults: object = "auto",
-) -> Tuple[ClusterService, ClusterServeReport]:
+) -> Tuple[ClusterService, ServeReport]:
     """Rebuild ``(service, report)`` from a cluster checkpoint document.
 
     ``executor`` overrides the checkpointed executor kind (a run started
     multiprocess can resume in-process and vice versa — shard state is
-    executor-agnostic).  ``faults`` follows
-    :func:`repro.runtime.checkpoint.restore_service`: ``"auto"``
-    restores every plan from its stored spec + state, ``None`` resumes
-    fault-free.
+    executor-agnostic).  ``faults="auto"`` restores every plan — the
+    coordinator's and each shard's — from its stored spec + state;
+    otherwise the shards resume fault-free and the coordinator gets
+    :func:`~repro.runtime.checkpoint.restore_fault_plan`'s choice
+    (``None`` resumes fault-free throughout).
     """
     if not isinstance(doc, dict) or doc.get("schema") != CLUSTER_SCHEMA:
         raise ValueError(f"not a {CLUSTER_SCHEMA} checkpoint document")
@@ -216,35 +148,10 @@ def restore_cluster(
     n_shards = int(doc["n_shards"])
     config = RuntimeConfig(**doc["config"])
 
-    if faults == "auto":
-        workers = [
-            restore_shard(doc, k, mode=config.mode, keep_decisions=keep)
-            for k in range(n_shards)
-        ]
-        coordinator = None
-        if doc.get("coordinator_faults") is not None:
-            spec = doc.get("faults_spec")
-            if spec is None:
-                raise ValueError(
-                    "checkpoint holds coordinator fault state without a spec"
-                )
-            coordinator = FaultPlan.from_spec(spec)
-            coordinator.load_state(doc["coordinator_faults"])
-    else:
-        workers = [
-            ShardWorker(
-                k,
-                _pipeline_from_obj(doc["shards"][k]["pipeline"]),
-                mode=config.mode,
-                faults=None,
-                keep_decisions=keep,
-            )
-            for k in range(n_shards)
-        ]
-        for k, w in enumerate(workers):
-            w.chunks_processed = int(doc["shards"][k]["chunks_processed"])
-            w.packets_processed = int(doc["shards"][k]["packets_processed"])
-        coordinator = None if faults is None else faults
+    workers = [
+        restore_shard(doc, k, config.mode, keep, with_faults=faults == "auto")
+        for k in range(n_shards)
+    ]
 
     service = ClusterService(
         workers=workers,
@@ -252,12 +159,12 @@ def restore_cluster(
         executor=kind,
         retrainer=_retrainer_from_obj(doc["retrainer"], model_factory=model_factory),
         monitor=_monitor_from_obj(doc["monitor"]),
-        coordinator_faults=coordinator,
+        coordinator_faults=restore_fault_plan(doc.get("coordinator_faults"), faults),
         faults_spec=doc.get("faults_spec"),
         router_salt=int(doc["router_salt"]),
         shm_name=shm_name,
     )
-    return service, cluster_report_from_dict(doc["report"])
+    return service, report_from_dict(doc["report"])
 
 
 # --------------------------------------------------------------------------
@@ -272,27 +179,13 @@ class ClusterCheckpointManager(CheckpointManager):
     and ``every``-th-chunk thinning are inherited unchanged — one
     ``checkpoint.json`` per cluster, always a consistent cut."""
 
-    def _document(self, service: ClusterService, report: ClusterServeReport) -> dict:
-        return cluster_to_dict(service, report, meta=self.meta)
+    SCHEMAS = (CLUSTER_SCHEMA,)
 
-    @staticmethod
-    def load(directory: PathLike) -> dict:
-        path = Path(directory) / CheckpointManager.FILENAME
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict) or doc.get("schema") != CLUSTER_SCHEMA:
-            raise ValueError(f"{path} is not a {CLUSTER_SCHEMA} checkpoint")
-        return doc
+    def _document(self, service: ClusterService, report: ServeReport) -> dict:
+        return cluster_to_dict(service, report, meta=self.meta)
 
 
 def load_any_checkpoint(directory: PathLike) -> dict:
     """Load a checkpoint of either schema (``repro resume`` dispatches
     on the returned document's ``schema`` field)."""
-    path = Path(directory) / CheckpointManager.FILENAME
-    doc = json.loads(path.read_text())
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema not in (SERVICE_SCHEMA, CLUSTER_SCHEMA):
-        raise ValueError(
-            f"{path} is not a known checkpoint "
-            f"(schema {schema!r}, expected {SERVICE_SCHEMA} or {CLUSTER_SCHEMA})"
-        )
-    return doc
+    return _read_checkpoint(directory, (SERVICE_SCHEMA, CLUSTER_SCHEMA))

@@ -52,22 +52,21 @@ from repro.cluster.worker import (
     pack_packets,
 )
 from repro.datasets.trace import Trace
-from repro.faults.errors import RetrainFaultError
-from repro.faults.plan import INJECTOR_TYPES, FaultPlan, parse_fault_spec
-from repro.runtime.control import OpsControlMixin
+from repro.faults.plan import FaultPlan, parse_fault_spec
+from repro.runtime.control import OpsControlMixin, ServeReport, SwapEvent
 from repro.runtime.drift import DriftMonitor
 from repro.runtime.retrain import Retrainer
 from repro.runtime.service import RuntimeConfig
 from repro.runtime.stream import (
+    ChunkResult,
     ChunkStats,
     PacketSource,
-    _path_fractions,
     as_chunk_iter,
     chunk_ranges,
 )
 from repro.switch.batch import TraceColumns, canonical_flow_index
 from repro.switch.pipeline import PacketDecision, SwitchPipeline
-from repro.switch.runner import ChainedDecisions, DecisionView
+from repro.switch.runner import DecisionView
 from repro.telemetry import get_registry, span
 from repro.utils.rng import SeedLike, as_rng, spawn_seeds
 
@@ -81,16 +80,9 @@ def shard_fault_plans(spec: str, n_shards: int) -> List[FaultPlan]:
     one spec string (fault isolation: shard k's schedule is a pure
     function of ``(spec, k)``).
     """
-    seed, clauses = parse_fault_spec(spec)
+    seed, _ = parse_fault_spec(spec)
     shard_seeds = spawn_seeds(as_rng(0 if seed is None else seed), n_shards)
-    return [
-        FaultPlan(
-            [INJECTOR_TYPES[name](**params) for name, params in clauses],
-            seed=s,
-            spec=spec,
-        )
-        for s in shard_seeds
-    ]
+    return [FaultPlan.from_spec(spec, seed=s) for s in shard_seeds]
 
 
 @dataclass(frozen=True)
@@ -137,23 +129,6 @@ class GatheredDecisions(DecisionView):
         return self._parts[self._shard[i]][self._local[i]]
 
 
-@dataclass(frozen=True)
-class ClusterSwapEvent:
-    """One cluster-wide two-phase table update attempt."""
-
-    chunk_index: int
-    reason: str  # "drift", "cadence", or "manual"
-    #: Wall clock of the full barrier: stage-everywhere + commit (or abort).
-    duration_s: float
-    rolled_back: bool
-    #: Worst-case per-shard install attempts (>1 ⇒ transient flakes retried).
-    attempts: int = 1
-    #: Install attempts per shard, indexed by shard id.
-    shard_attempts: List[int] = field(default_factory=list)
-    #: Shards whose stage/commit failed and triggered the cluster abort.
-    failed_shards: List[int] = field(default_factory=list)
-
-
 @dataclass
 class ClusterReplayResult:
     """Merged outcome of one cluster replay, in global arrival order."""
@@ -167,58 +142,22 @@ class ClusterReplayResult:
     #: Summed pipeline+controller counter deltas across shards.
     counters: Dict[str, int] = field(default_factory=dict)
     shard_sizes: List[int] = field(default_factory=list)
+    #: Canonical flow label per packet (the reservoir's grouping); set
+    #: by the serve loop's chunk source.
+    flow_idx: Optional[np.ndarray] = None
 
     @property
     def n_packets(self) -> int:
         return int(self.y_true.size)
 
 
-@dataclass
-class ClusterServeReport:
-    """Outcome of one :meth:`ClusterService.serve` call.
-
-    Field-compatible with :class:`~repro.runtime.service.ServeReport`
-    where the meaning coincides (the CLI summary renders either), plus
-    the cluster-only sections: per-shard packet counts and per-shard
-    fault counts.
-    """
-
-    n_shards: int = 1
-    n_chunks: int = 0
-    n_packets: int = 0
-    drift_signals: int = 0
-    retrains: int = 0
-    retrain_failures: int = 0
-    #: Coordinator-plan + all shard-plan ``faults.*`` totals, summed.
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: Per-shard ``faults.*`` totals, indexed by shard id.
-    shard_fault_counts: List[Dict[str, int]] = field(default_factory=list)
-    #: Packets served by each shard, indexed by shard id.
-    shard_packets: List[int] = field(default_factory=list)
-    swap_events: List[ClusterSwapEvent] = field(default_factory=list)
-    chunk_stats: List[ChunkStats] = field(default_factory=list)
-    chunk_offsets: List[int] = field(default_factory=list)
-    #: Operator control tickets applied during the run (ops surface).
-    control_events: List[Dict] = field(default_factory=list)
-    #: One lazy view per chunk, as on :class:`~repro.runtime.service.ServeReport`.
-    decisions: ChainedDecisions = field(default_factory=ChainedDecisions)
-    y_true: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    y_pred: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    @property
-    def n_swaps(self) -> int:
-        return sum(1 for e in self.swap_events if not e.rolled_back)
-
-    @property
-    def n_rollbacks(self) -> int:
-        return sum(1 for e in self.swap_events if e.rolled_back)
-
-    def packet_offset_of_chunk(self, chunk_index: int) -> int:
-        return self.chunk_offsets[chunk_index]
-
-
 class ClusterService(OpsControlMixin):
     """N sharded pipelines behaving as one big switch.
+
+    Serves through the shared loop of :mod:`repro.runtime.control`: its
+    chunk source routes, ships and merges each chunk across the shard
+    fleet, and :meth:`swap` installs a generation with the two-phase
+    barrier.
 
     Parameters
     ----------
@@ -241,6 +180,8 @@ class ClusterService(OpsControlMixin):
         Pre-built workers (checkpoint restore path); overrides
         ``pipeline``-based construction.
     """
+
+    _SWAP_EVENT = "cluster.swap"
 
     def __init__(
         self,
@@ -265,7 +206,6 @@ class ClusterService(OpsControlMixin):
         self.config = config or RuntimeConfig()
         self.executor_kind = executor
         self.faults_spec = faults_spec
-        self._init_control_plane()
         #: Pinned shared-segment name for the ``shm`` executor (resume
         #: re-maps by this name); ``None`` → a fresh name per executor.
         self.shm_name = shm_name
@@ -305,25 +245,7 @@ class ClusterService(OpsControlMixin):
         self.router = FlowShardRouter(n_shards, salt=router_salt)
 
         template = pipeline if pipeline is not None else self.workers[0].pipeline
-        self.retrainer = retrainer if retrainer is not None else Retrainer(
-            pkt_count_threshold=template.config.pkt_count_threshold,
-            timeout=template.config.timeout,
-            use_pl_model=template.pl_table is not None,
-            seed=seed,
-        )
-        if monitor is not None:
-            self.monitor: Optional[DriftMonitor] = monitor
-        elif self.config.drift_threshold > 0:
-            self.monitor = DriftMonitor(
-                window=self.config.drift_window,
-                baseline_window=self.config.baseline_window,
-                threshold=self.config.drift_threshold,
-                min_packets=self.config.min_drift_packets,
-                warmup_chunks=self.config.drift_warmup_chunks,
-            )
-        else:
-            self.monitor = None
-
+        self._init_control_plane(template, retrainer, monitor, seed)
         self._executor = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -409,38 +331,22 @@ class ClusterService(OpsControlMixin):
         registry = get_registry()
         if not registry.enabled:
             return
-        for name, delta in sorted(merged.counters.items()):
-            if delta:
-                registry.counter(name).inc(delta)
         registry.counter("replay.packets").inc(merged.n_packets)
-        occupancy = 0.0
-        fill = 0.0
-        bl_size = 0.0
-        mitigation: Dict[str, float] = {}
+        levels: Dict[str, float] = {}
         for out in outcomes:
-            k = out.shard_id
-            for name, delta in out.counter_deltas.items():
-                if delta:
-                    registry.counter(f"cluster.shard.{k}.{name}").inc(delta)
+            self._publish_shard_counters(registry, out.shard_id, out.counter_deltas)
             for name, value in out.gauges.items():
-                registry.gauge(f"cluster.shard.{k}.{name}").set(value)
-                # Mitigation levels are additive across shards (each
-                # engine owns a disjoint flow partition) — except the
-                # guard budget, where the tightest shard is the story.
-                if name.startswith("mitigation."):
-                    if name == "mitigation.guard_budget_remaining":
-                        mitigation[name] = min(
-                            mitigation.get(name, value), value
-                        )
-                    else:
-                        mitigation[name] = mitigation.get(name, 0.0) + value
-            occupancy += out.gauges.get("switch.store.occupancy", 0.0)
-            fill += out.gauges.get("switch.store.fill_fraction", 0.0)
-            bl_size += out.gauges.get("switch.blacklist.size", 0.0)
-        registry.gauge("switch.store.occupancy").set(occupancy)
-        registry.gauge("switch.store.fill_fraction").set(fill / len(outcomes))
-        registry.gauge("switch.blacklist.size").set(bl_size)
-        for name, value in mitigation.items():
+                registry.gauge(f"cluster.shard.{out.shard_id}.{name}").set(value)
+                # Levels are additive across shards (each owns a
+                # disjoint flow partition) — except the guard budget,
+                # where the tightest shard is the story.
+                if name == "mitigation.guard_budget_remaining":
+                    levels[name] = min(levels.get(name, value), value)
+                else:
+                    levels[name] = levels.get(name, 0.0) + value
+        if "switch.store.fill_fraction" in levels:
+            levels["switch.store.fill_fraction"] /= len(outcomes)
+        for name, value in levels.items():
             registry.gauge(name).set(value)
 
     # -- chunk iteration (both transports) -----------------------------------
@@ -463,14 +369,17 @@ class ClusterService(OpsControlMixin):
         for offset, chunk in enumerate(
             as_chunk_iter(source, chunk_size, skip_packets=skip_packets)
         ):
-            index = start_index + offset
-            partition = self.router.partition(chunk)
-            for k in range(self.n_shards):
-                self._executor.dispatch(
-                    k, "replay_chunk", self._ship(partition.shards[k]), index
-                )
-            outcomes = [self._executor.collect(k) for k in range(self.n_shards)]
+            partition, outcomes = self._route_and_replay(chunk, start_index + offset)
             yield chunk, partition, outcomes, partition.fields
+
+    def _route_and_replay(self, chunk: Trace, index: int):
+        """Route one chunk, ship each shard its slice, collect outcomes."""
+        partition = self.router.partition(chunk)
+        for k in range(self.n_shards):
+            self._executor.dispatch(
+                k, "replay_chunk", self._ship(partition.shards[k]), index
+            )
+        return partition, [self._executor.collect(k) for k in range(self.n_shards)]
 
     def _iter_shm_chunks(self, trace: Trace, ranges, start_index: int):
         """Shared-memory transport: write the whole trace into the
@@ -556,36 +465,6 @@ class ClusterService(OpsControlMixin):
             decisions=None,
         )
 
-    def _iter_chunk_replays(
-        self,
-        source: PacketSource,
-        chunk_size: int,
-        start_index: int,
-        skip_packets: int = 0,
-    ):
-        if self.executor_kind == "shm":
-            # The shm transport writes the whole trace into the arena up
-            # front — fundamentally a materialised-input design.  Refuse
-            # streaming sources loudly rather than silently buffering an
-            # unbounded stream into RAM.
-            if not isinstance(source, Trace):
-                raise ValueError(
-                    "streaming sources are unsupported on the shm transport: "
-                    "it writes the full trace into the shared arena up "
-                    "front; use executor='inprocess' or "
-                    "executor='multiprocess' for streaming sources, or "
-                    "materialise() the scenario first"
-                )
-            trace = source
-            if skip_packets:
-                trace = Trace.from_sorted(source.packets[skip_packets:])
-            return self._iter_shm_chunks(
-                trace, chunk_ranges(len(trace.packets), chunk_size), start_index
-            )
-        return self._iter_routed_chunks(
-            source, chunk_size, start_index, skip_packets=skip_packets
-        )
-
     def replay(self, trace: Trace) -> ClusterReplayResult:
         """Route and replay *trace* across all shards, one shot.
 
@@ -599,18 +478,11 @@ class ClusterService(OpsControlMixin):
                 # still dispatches one empty descriptor per shard so
                 # chunk-boundary hooks advance exactly as the packet
                 # transport's empty-chunk dispatch does.
-                replays = self._iter_shm_chunks(
-                    trace, [(0, len(trace.packets))], start_index=0
+                _, partition, outcomes, _ = next(
+                    self._iter_shm_chunks(trace, [(0, len(trace.packets))], 0)
                 )
             else:
-                partition = self.router.partition(trace)
-                for k in range(self.n_shards):
-                    self._executor.dispatch(
-                        k, "replay_chunk", self._ship(partition.shards[k]), 0
-                    )
-                outcomes = [self._executor.collect(k) for k in range(self.n_shards)]
-                replays = iter([(trace, partition, outcomes, partition.fields)])
-            _, partition, outcomes, _ = next(replays)
+                partition, outcomes = self._route_and_replay(trace, 0)
         merged = self._merge_outcomes(partition, outcomes)
         self._publish_chunk(merged, outcomes)
         return merged
@@ -622,7 +494,7 @@ class ClusterService(OpsControlMixin):
         artifacts,
         chunk_index: int = -1,
         reason: str = "manual",
-    ) -> ClusterSwapEvent:
+    ) -> SwapEvent:
         """Install *artifacts* cluster-wide via the two-phase protocol.
 
         Either every shard ends on the new generation or every shard
@@ -667,7 +539,7 @@ class ClusterService(OpsControlMixin):
         duration = time.perf_counter() - start
 
         shard_attempts = [r["attempts"] for r in staged]
-        event = ClusterSwapEvent(
+        event = SwapEvent(
             chunk_index=chunk_index,
             reason=reason,
             duration_s=duration,
@@ -676,134 +548,76 @@ class ClusterService(OpsControlMixin):
             shard_attempts=shard_attempts,
             failed_shards=sorted(r["shard_id"] for r in failed),
         )
-
         if registry.enabled:
-            retries = sum(a - 1 for a in shard_attempts)
-            if retries:
-                registry.counter("runtime.stage_retries").inc(retries)
-            registry.histogram("runtime.swap_pause_s").observe(duration)
             registry.histogram("cluster.swap_barrier_s").observe(duration)
-            if rolled_back:
-                registry.counter("runtime.rollbacks").inc()
-                registry.counter("switch.table.rollbacks").inc(self.n_shards)
-                for k in range(self.n_shards):
-                    registry.counter(f"cluster.shard.{k}.switch.table.rollbacks").inc()
-                if transient_abort:
-                    registry.counter("degraded.swap_aborted").inc()
-            else:
-                registry.counter("runtime.swaps").inc()
-                registry.counter("switch.table.swaps").inc(self.n_shards)
-                for k in range(self.n_shards):
-                    registry.counter(f"cluster.shard.{k}.switch.table.swaps").inc()
-            registry.event(
-                "cluster.swap",
-                chunk=chunk_index,
-                reason=reason,
-                rolled_back=rolled_back,
-                shards=self.n_shards,
-                failed_shards=event.failed_shards,
-                duration_s=round(duration, 6),
-            )
-        if not rolled_back and self.monitor is not None:
-            self.monitor.reset()
-        return event
+            for r in staged:
+                self._publish_shard_counters(
+                    registry, r["shard_id"], r["fault_deltas"]
+                )
+        return self._record_swap(
+            event,
+            transient_abort,
+            shards=self.n_shards,
+            failed_shards=event.failed_shards,
+        )
 
-    def _retrain_and_swap(self, chunk_index, reason, report) -> None:
-        registry = get_registry()
-        try:
-            if self.faults is not None:
-                self.faults.before_retrain()
-            with span("retrain", reason=reason, chunk=chunk_index):
-                artifacts = self.retrainer.retrain()
-        except RetrainFaultError:
-            report.retrain_failures += 1
-            if registry.enabled:
-                registry.counter("degraded.retrain_skipped").inc()
-            return
-        report.retrains += 1
-        if registry.enabled:
-            registry.counter("runtime.retrains").inc()
-        if self.faults is not None:
-            artifacts = self.faults.corrupt_artifacts(artifacts)
-        report.swap_events.append(self.swap(artifacts, chunk_index, reason))
+    def _count_flip(self, registry, what: str) -> None:
+        # Shards flip in lockstep: one flip per shard, tagged per shard.
+        registry.counter(f"switch.table.{what}").inc(self.n_shards)
+        for k in range(self.n_shards):
+            registry.counter(f"cluster.shard.{k}.switch.table.{what}").inc()
+
+    @staticmethod
+    def _publish_shard_counters(
+        registry, shard_id: int, deltas: Dict[str, int]
+    ) -> None:
+        """Publish one shard's counter deltas into the aggregate names
+        and the ``cluster.shard.<k>.*`` tagged copies."""
+        for name, delta in deltas.items():
+            if delta:
+                registry.counter(name).inc(delta)
+                registry.counter(f"cluster.shard.{shard_id}.{name}").inc(delta)
 
     # -- operator control (see repro.runtime.control / repro.ops) ------------
 
-    def _apply_control(self, ticket: Dict, chunk_index: int, report) -> str:
-        """Route one queued ops verb through the cluster control plane.
+    def _rollback_tables(self) -> bool:
+        self.start()
+        # Shards flip in lockstep, so a shard without a previous
+        # generation means none have one: nothing to undo.
+        return all(r["ok"] for r in self._executor.broadcast("rollback"))
 
-        Runs on the serving thread between chunks — the only thread that
-        may touch the executor — so verbs reuse the exact machinery the
-        drift loop drives (two-phase swap, worker rollback, router).
-        """
-        verb = ticket["verb"]
-        registry = get_registry()
-        if verb == "retrain":
-            if not self._swap_allowed(report):
-                return "skipped:max_swaps"
-            if len(self.retrainer) < self.config.min_retrain_flows:
-                return "skipped:reservoir_too_small"
-            before = len(report.swap_events)
-            self._retrain_and_swap(chunk_index, "manual", report)
-            if len(report.swap_events) == before:
-                return "skipped:retrain_failed"
+    def _drain(self, ticket: Dict) -> str:
+        shard = ticket.get("shard")
+        if shard is None:
+            return "skipped:no_shard_given"
+        if self.executor_kind == "shm":
+            # The shm transport routes the whole trace up front, so a
+            # mid-serve drain could not take effect; refuse loudly
+            # rather than pretend — and name the way out.
             return (
-                "rolled_back" if report.swap_events[-1].rolled_back else "swapped"
+                "unsupported:drain_on_shm_transport "
+                "(the arena is routed up front; use "
+                "executor='inprocess' or 'multiprocess' to drain "
+                "the last shard mid-serve)"
             )
-        if verb == "rollback":
-            self.start()
-            results = self._executor.broadcast("rollback")
-            if any(not r["ok"] for r in results):
-                # Shards flip in lockstep, so a shard without a previous
-                # generation means none have one: nothing to undo.
-                return "skipped:no_previous_generation"
-            if registry.enabled:
-                registry.counter("ops.rollbacks").inc()
-                registry.counter("switch.table.rollbacks").inc(self.n_shards)
-                for k in range(self.n_shards):
-                    registry.counter(f"cluster.shard.{k}.switch.table.rollbacks").inc()
-            if self.monitor is not None:
-                self.monitor.reset()
-            return "rolled_back"
-        if verb == "drain":
-            shard = ticket.get("shard")
-            if shard is None:
-                return "skipped:no_shard_given"
-            if self.executor_kind == "shm":
-                # The shm transport routes the whole trace up front, so a
-                # mid-serve drain could not take effect; refuse loudly
-                # rather than pretend — and name the way out.
-                return (
-                    "unsupported:drain_on_shm_transport "
-                    "(the arena is routed up front; use "
-                    "executor='inprocess' or 'multiprocess' to drain "
-                    "the last shard mid-serve)"
-                )
-            try:
-                self.router.drain(int(shard))
-            except ValueError as err:
-                return f"skipped:{err}"
-            if registry.enabled:
-                registry.counter("ops.drains").inc()
-                registry.gauge("cluster.drained_shards").set(
-                    float(len(self.router.drained))
-                )
-            return "drained"
-        if verb == "unblock":
-            flow = ticket.get("flow")
-            from repro.mitigation import parse_flow_key
+        try:
+            self.router.drain(int(shard))
+        except ValueError as err:
+            return f"skipped:{err}"
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("ops.drains").inc()
+            registry.gauge("cluster.drained_shards").set(
+                float(len(self.router.drained))
+            )
+        return "drained"
 
-            try:
-                five_tuple = parse_flow_key(flow or "")
-            except ValueError:
-                return "rejected:bad_flow_key"
-            # The flow's ladder state lives on exactly one shard — the
-            # one the router assigns it to.
-            self.start()
-            shard = self.router.shard_of(five_tuple)
-            result = self._executor.call(shard, "unblock", flow)
-            return result["outcome"]
-        return f"unsupported:{verb}"
+    def _unblock(self, five_tuple, flow: str) -> str:
+        # The flow's ladder state lives on exactly one shard — the one
+        # the router assigns it to.
+        self.start()
+        shard = self.router.shard_of(five_tuple)
+        return self._executor.call(shard, "unblock", flow)["outcome"]
 
     def mitigation_status(self) -> Optional[Dict]:
         """Cluster mitigation view: per-shard engine status plus summed
@@ -814,11 +628,7 @@ class ClusterService(OpsControlMixin):
         plus the mitigation gauges published at the last chunk) instead
         of querying shards.
         """
-        engine = (
-            getattr(self.workers[0].pipeline.controller, "policy", None)
-            if self.workers and self.workers[0].pipeline.controller is not None
-            else None
-        )
+        engine = getattr(self.workers[0].pipeline.controller, "policy", None)
         if engine is None:
             return None
         if self._serving:
@@ -864,11 +674,7 @@ class ClusterService(OpsControlMixin):
         report = self._live_report
         # Coordinator-side template only — ops_status must never touch
         # the executor (HTTP-thread reads cannot perturb the run).
-        engine = (
-            getattr(self.workers[0].pipeline.controller, "policy", None)
-            if self.workers and self.workers[0].pipeline.controller is not None
-            else None
-        )
+        engine = getattr(self.workers[0].pipeline.controller, "policy", None)
         return {
             "kind": "cluster",
             "n_shards": self.n_shards,
@@ -880,51 +686,71 @@ class ClusterService(OpsControlMixin):
             "shard_packets": (
                 list(report.shard_packets) if report is not None else []
             ),
-            "reservoir_flows": len(self.retrainer),
-            "drift_score": (
-                self.monitor.last_score if self.monitor is not None else None
-            ),
         }
 
-    # -- serving -------------------------------------------------------------
+    # -- the serve loop's service half (see repro.runtime.control) -----------
 
-    def _swap_allowed(self, report: ClusterServeReport) -> bool:
-        cap = self.config.max_swaps
-        return cap is None or report.n_swaps < cap
-
-    def serve(
-        self,
-        trace: PacketSource,
-        checkpoint=None,
-        resume_report: Optional[ClusterServeReport] = None,
-    ) -> ClusterServeReport:
-        """Stream *trace* through the cluster with the full control loop.
-
-        The global chunk clock, drift/cadence gating, and checkpoint
-        cadence all mirror
-        :meth:`~repro.runtime.service.OnlineDetectionService.serve`; the
-        differences are that every chunk is routed across shards and
-        table updates go through the two-phase barrier.  The packet-list
-        transports accept streaming sources (scenario streams) and serve
-        them in O(chunk) memory; the shm transport needs a materialised
-        :class:`Trace` and raises ``ValueError`` otherwise.
-        """
-        cfg = self.config
-        report = resume_report if resume_report is not None else ClusterServeReport(
-            n_shards=self.n_shards
-        )
+    def _serve_start(self, report: ServeReport) -> None:
+        report.n_shards = self.n_shards
         if not report.shard_packets:
             report.shard_packets = [0] * self.n_shards
-        skip_packets = report.n_packets
-        registry = get_registry()
         self.start()
         self._executor.broadcast("start_serving")
-        self._serve_begin(report)
-        try:
-            self._serve_loop(trace, cfg, report, registry, checkpoint, skip_packets)
-        finally:
-            self._serve_end()
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge("cluster.n_shards").set(float(self.n_shards))
 
+    def _serve_span(self):
+        return span(
+            "cluster.serve",
+            shards=self.n_shards,
+            executor=self.executor_kind,
+            chunk_size=self.config.chunk_size,
+        )
+
+    def _chunks(self, source: PacketSource, report: ServeReport):
+        """Route, ship and replay each global chunk across the shards,
+        then merge the verdicts back into arrival order and publish the
+        chunk's telemetry.  The packet-list transports accept streaming
+        sources and serve them in O(chunk) memory; the shm transport
+        needs a materialised :class:`Trace` and raises ``ValueError``
+        otherwise."""
+        size, skip = self.config.chunk_size, report.n_packets
+        if self.executor_kind == "shm":
+            # The shm transport writes the whole trace into the arena up
+            # front — fundamentally a materialised-input design.  Refuse
+            # streaming sources loudly rather than silently buffering an
+            # unbounded stream into RAM.
+            if not isinstance(source, Trace):
+                raise ValueError(
+                    "streaming sources are unsupported on the shm transport: "
+                    "it writes the full trace into the shared arena up "
+                    "front; use executor='inprocess' or "
+                    "executor='multiprocess' for streaming sources, or "
+                    "materialise() the scenario first"
+                )
+            trace = Trace.from_sorted(source.packets[skip:]) if skip else source
+            replays = self._iter_shm_chunks(
+                trace, chunk_ranges(len(trace.packets), size), report.n_chunks
+            )
+        else:
+            replays = self._iter_routed_chunks(
+                source, size, report.n_chunks, skip_packets=skip
+            )
+        for chunk, partition, outcomes, tuples in replays:
+            merged = self._merge_outcomes(partition, outcomes)
+            self._publish_chunk(merged, outcomes)
+            merged.flow_idx = canonical_flow_index(tuples)
+            yield ChunkResult(
+                index=report.n_chunks,
+                trace=chunk,
+                replay=merged,
+                counters=merged.counters,
+                stats=ChunkStats.of_chunk(merged.y_pred, merged.counters),
+                shard_sizes=merged.shard_sizes,
+            )
+
+    def _serve_finish(self, report: ServeReport) -> None:
         shard_counts = self._executor.broadcast("finish")
         report.shard_fault_counts = [dict(c) for c in shard_counts]
         merged_counts: Dict[str, int] = {}
@@ -934,78 +760,6 @@ class ClusterService(OpsControlMixin):
             for name, fired in counts.items():
                 merged_counts[name] = merged_counts.get(name, 0) + fired
         report.fault_counts = merged_counts
-        if checkpoint is not None:
-            checkpoint.save(self, report, complete=True)
-        return report
-
-    def _serve_loop(
-        self, trace, cfg, report, registry, checkpoint, skip_packets: int = 0
-    ) -> None:
-        with span(
-            "cluster.serve",
-            shards=self.n_shards,
-            executor=self.executor_kind,
-            chunk_size=cfg.chunk_size,
-        ):
-            if registry.enabled:
-                registry.gauge("cluster.n_shards").set(float(self.n_shards))
-            chunk_start = time.perf_counter()
-            for chunk, partition, outcomes, tuples in self._iter_chunk_replays(
-                trace, cfg.chunk_size, report.n_chunks, skip_packets=skip_packets
-            ):
-                index = report.n_chunks  # == start_index + offset
-                merged = self._merge_outcomes(partition, outcomes)
-                self._publish_chunk(merged, outcomes)
-
-                n = merged.n_packets
-                stats = ChunkStats(
-                    n_packets=n,
-                    malicious_rate=float(np.mean(merged.y_pred)) if n else 0.0,
-                    path_fractions=_path_fractions(merged.counters, n),
-                )
-                report.chunk_offsets.append(report.n_packets)
-                report.n_chunks += 1
-                report.n_packets += n
-                for k, size in enumerate(merged.shard_sizes):
-                    report.shard_packets[k] += size
-                report.chunk_stats.append(stats)
-                report.decisions.extend(merged.decisions)
-                report.y_true = np.concatenate([report.y_true, merged.y_true])
-                report.y_pred = np.concatenate([report.y_pred, merged.y_pred])
-                self.retrainer.observe(chunk.packets, canonical_flow_index(tuples))
-
-                drifted = False
-                if self.monitor is not None:
-                    drifted = self.monitor.observe(stats)
-                    if drifted:
-                        report.drift_signals += 1
-                if registry.enabled:
-                    registry.counter("runtime.chunks").inc()
-                    registry.counter("runtime.packets").inc(n)
-                    if self.monitor is not None:
-                        registry.gauge("runtime.drift.score").set(
-                            self.monitor.last_score
-                        )
-                        registry.gauge("runtime.drift.malicious_rate").set(
-                            stats.malicious_rate
-                        )
-                        if drifted:
-                            registry.counter("runtime.drift.signals").inc()
-
-                cadence_due = cfg.cadence > 0 and (index + 1) % cfg.cadence == 0
-                if (
-                    (drifted or cadence_due)
-                    and self._swap_allowed(report)
-                    and len(self.retrainer) >= cfg.min_retrain_flows
-                ):
-                    self._retrain_and_swap(
-                        index, "drift" if drifted else "cadence", report
-                    )
-                self._apply_pending_controls(index, report)
-                self._note_chunk(index, n, time.perf_counter() - chunk_start)
-                if checkpoint is not None:
-                    checkpoint.maybe_save(self, report)
-                chunk_start = time.perf_counter()
 
     # -- checkpointing hooks -------------------------------------------------
 

@@ -18,10 +18,11 @@ process:
   checkpoints.
 
 Workers deliberately publish **nothing** to the telemetry registry:
-replays run under a scoped null registry and only return counter
-deltas, so the coordinator is the single writer of cluster telemetry in
-both executor modes (in a forked worker process a registry write would
-land in a throwaway copy anyway).
+replays, fault hooks and stages run under a scoped null registry and
+only return counter deltas — ``faults.*`` firings included — so the
+coordinator is the single writer of cluster telemetry on every
+transport (in a forked worker process a registry write would land in a
+throwaway copy anyway).
 
 For the multiprocess transport, packets cross the process boundary as a
 struct-of-numpy-arrays wire format (:func:`pack_packets` /
@@ -124,8 +125,10 @@ class ShardChunkOutcome:
     n_packets: int
     y_true: np.ndarray
     y_pred: np.ndarray
-    #: This chunk's deltas of every pipeline + controller counter.
+    #: This chunk's deltas of every pipeline + controller counter, plus
+    #: the ``faults.*`` firings of the shard's plan.
     counter_deltas: Dict[str, int]
+    #: Every pipeline gauge (:meth:`SwitchPipeline.telemetry_gauges`).
     gauges: Dict[str, float] = field(default_factory=dict)
     #: Per-packet decisions in shard order (None when the worker was
     #: built with ``keep_decisions=False``, e.g. across a process
@@ -180,6 +183,9 @@ class ShardWorker:
         self.keep_decisions = keep_decisions
         self.chunks_processed = 0
         self.packets_processed = 0
+        #: Fault counts already handed to the coordinator (a restored
+        #: plan's firings were published by the run that checkpointed).
+        self._faults_reported = faults.counts() if faults is not None else {}
 
     # -- serving ------------------------------------------------------------
 
@@ -193,6 +199,45 @@ class ShardWorker:
         if self.pipeline.controller is not None:
             counters.update(self.pipeline.controller.telemetry_counters())
         return counters
+
+    def _fault_deltas(self) -> Dict[str, int]:
+        """``faults.*`` firings since the last call (nonzero only)."""
+        if self.faults is None:
+            return {}
+        counts = self.faults.counts()
+        deltas = {
+            name: n - self._faults_reported.get(name, 0) for name, n in counts.items()
+        }
+        self._faults_reported = counts
+        return {name: d for name, d in deltas.items() if d}
+
+    def _end_chunk(
+        self,
+        before: Dict[str, int],
+        chunk_index: int,
+        y_true: np.ndarray,
+        y_pred: np.ndarray,
+        decisions: Optional[List[PacketDecision]],
+    ) -> ShardChunkOutcome:
+        """Close one served chunk: its counter deltas, then the
+        chunk-boundary fault hook, whose firings join the deltas."""
+        after = self._counters()
+        deltas = {k: after[k] - before.get(k, 0) for k in after}
+        if self.faults is not None:
+            with use_registry(None):
+                self.faults.on_chunk_end(self.pipeline, chunk_index)
+            deltas.update(self._fault_deltas())
+        self.chunks_processed += 1
+        self.packets_processed += len(y_pred)
+        return ShardChunkOutcome(
+            shard_id=self.shard_id,
+            n_packets=len(y_pred),
+            y_true=y_true,
+            y_pred=y_pred,
+            counter_deltas=deltas,
+            gauges=self.pipeline.telemetry_gauges(),
+            decisions=decisions,
+        )
 
     def replay_chunk(self, packets, chunk_index: int) -> ShardChunkOutcome:
         """Serve this shard's slice of global chunk *chunk_index*.
@@ -212,20 +257,12 @@ class ShardWorker:
                 Trace.from_sorted(packets), self.pipeline, mode=self.mode
             )
             self._policy_tick(packets[-1].timestamp if packets else None)
-        after = self._counters()
-        deltas = {k: after[k] - before.get(k, 0) for k in after}
-        if self.faults is not None:
-            self.faults.on_chunk_end(self.pipeline, chunk_index)
-        self.chunks_processed += 1
-        self.packets_processed += len(packets)
-        return ShardChunkOutcome(
-            shard_id=self.shard_id,
-            n_packets=len(packets),
-            y_true=replay.y_true,
-            y_pred=replay.y_pred,
-            counter_deltas=deltas,
-            gauges=self.pipeline.telemetry_gauges(),
-            decisions=replay.decisions if self.keep_decisions else None,
+        return self._end_chunk(
+            before,
+            chunk_index,
+            replay.y_true,
+            replay.y_pred,
+            replay.decisions if self.keep_decisions else None,
         )
 
     def replay_chunk_columns(
@@ -259,21 +296,7 @@ class ShardWorker:
                 if self.keep_decisions:
                     decisions = replay.decisions
             self._policy_tick(float(cols.timestamps[-1]) if len(cols) else None)
-        after = self._counters()
-        deltas = {k: after[k] - before.get(k, 0) for k in after}
-        if self.faults is not None:
-            self.faults.on_chunk_end(self.pipeline, chunk_index)
-        self.chunks_processed += 1
-        self.packets_processed += len(cols)
-        return ShardChunkOutcome(
-            shard_id=self.shard_id,
-            n_packets=len(cols),
-            y_true=y_true,
-            y_pred=y_pred,
-            counter_deltas=deltas,
-            gauges=self.pipeline.telemetry_gauges(),
-            decisions=decisions,
-        )
+        return self._end_chunk(before, chunk_index, y_true, y_pred, decisions)
 
     def _policy_tick(self, now: Optional[float]) -> None:
         """Mitigation TTL tick at this shard's chunk boundary.
@@ -329,10 +352,10 @@ class ShardWorker:
 
         Runs the shard's install-fault hook plus ``stage_tables`` under
         the PR 4 retry budget.  Never raises: the outcome dict carries
-        ``ok``, the attempt count, and the failure class (``validation``
+        ``ok``, the attempt count, the failure class (``validation``
         for deterministic rejections, ``transient`` for an exhausted
         retry budget) so the coordinator can decide the cluster-wide
-        verdict.
+        verdict, and the install flakes that fired (``fault_deltas``).
         """
         attempts = 0
 
@@ -350,9 +373,13 @@ class ShardWorker:
 
         error = None
         try:
-            retry_with_backoff(
-                _stage, retries=retries, base_delay=base_delay, deadline_s=deadline_s
-            )
+            with use_registry(None):
+                retry_with_backoff(
+                    _stage,
+                    retries=retries,
+                    base_delay=base_delay,
+                    deadline_s=deadline_s,
+                )
         except ValueError:
             error = "validation"
         except TransientFaultError:
@@ -362,6 +389,7 @@ class ShardWorker:
             "ok": error is None,
             "attempts": attempts,
             "error": error,
+            "fault_deltas": self._fault_deltas(),
         }
 
     def commit(self) -> dict:

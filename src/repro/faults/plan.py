@@ -138,11 +138,16 @@ class FaultPlan:
         return found[0] if found else None
 
     @classmethod
-    def from_spec(cls, spec: str) -> "FaultPlan":
-        """Build a plan from the spec grammar (see module docstring)."""
-        seed, clauses = parse_fault_spec(spec)
+    def from_spec(cls, spec: str, seed: SeedLike = None) -> "FaultPlan":
+        """Build a plan from the spec grammar (see module docstring).
+
+        *seed* overrides the spec's own ``seed=`` clause (the cluster
+        fans one spec out into per-shard seeds)."""
+        spec_seed, clauses = parse_fault_spec(spec)
+        if seed is None:
+            seed = 0 if spec_seed is None else spec_seed
         injectors = [INJECTOR_TYPES[name](**params) for name, params in clauses]
-        return cls(injectors, seed=0 if seed is None else seed, spec=spec)
+        return cls(injectors, seed=seed, spec=spec)
 
     # -- runtime hooks ------------------------------------------------------
 

@@ -18,8 +18,13 @@ control loop over the simulator:
 * :class:`~repro.runtime.retrain.Retrainer` — reservoir-samples recent
   flows, refits the model, and recompiles install-ready artifacts via
   :func:`repro.core.deployment.compile_switch_artifacts`.
-* :class:`~repro.runtime.service.OnlineDetectionService` — ties them
-  together around :meth:`SwitchPipeline.stage_tables` /
+* :class:`~repro.runtime.control.OpsControlMixin` — the one serve loop
+  (drift/cadence gating, retrain, swap telemetry, ops verbs,
+  checkpoints) both services run, producing a
+  :class:`~repro.runtime.control.ServeReport`.
+* :class:`~repro.runtime.service.OnlineDetectionService` — that loop
+  over one pipeline, installing generations via
+  :meth:`SwitchPipeline.stage_tables` /
   :meth:`~repro.switch.pipeline.SwitchPipeline.hot_swap`, with the state
   machine SERVING → STAGING → SWAP (→ ROLLBACK on validation failure).
 
@@ -35,6 +40,7 @@ Surfaced on the command line as ``repro serve`` / ``repro resume``.
 from repro.runtime.checkpoint import (
     CheckpointManager,
     report_from_dict,
+    report_to_dict,
     restore_service,
     service_to_dict,
 )
@@ -72,6 +78,7 @@ __all__ = [
     "default_model_factory",
     "iter_chunks",
     "report_from_dict",
+    "report_to_dict",
     "restore_service",
     "service_to_dict",
 ]

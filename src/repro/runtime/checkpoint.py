@@ -423,14 +423,18 @@ def _monitor_from_obj(obj: Optional[dict]) -> Optional[DriftMonitor]:
 
 
 def report_to_dict(report: ServeReport) -> dict:
-    """Serialise a serve report (``decisions`` excluded, see module doc)."""
+    """Serialise either service's serve report (``decisions`` excluded,
+    see module doc)."""
     return {
+        "n_shards": report.n_shards,
         "n_chunks": report.n_chunks,
         "n_packets": report.n_packets,
         "drift_signals": report.drift_signals,
         "retrains": report.retrains,
         "retrain_failures": report.retrain_failures,
         "fault_counts": dict(report.fault_counts),
+        "shard_fault_counts": [dict(c) for c in report.shard_fault_counts],
+        "shard_packets": list(report.shard_packets),
         "swap_events": [asdict(e) for e in report.swap_events],
         "chunk_stats": [_chunk_stats_to_obj(s) for s in report.chunk_stats],
         "chunk_offsets": list(report.chunk_offsets),
@@ -441,13 +445,21 @@ def report_to_dict(report: ServeReport) -> dict:
 
 
 def report_from_dict(obj: dict) -> ServeReport:
+    """Rebuild a serve report; reads single-service and cluster reports
+    of every v1 checkpoint (older single-service documents carry no
+    shard sections, older swap events no shard fields)."""
     return ServeReport(
+        n_shards=int(obj.get("n_shards", 1)),
         n_chunks=int(obj["n_chunks"]),
         n_packets=int(obj["n_packets"]),
         drift_signals=int(obj["drift_signals"]),
         retrains=int(obj["retrains"]),
         retrain_failures=int(obj["retrain_failures"]),
         fault_counts={k: int(v) for k, v in obj["fault_counts"].items()},
+        shard_fault_counts=[
+            {k: int(v) for k, v in c.items()} for c in obj.get("shard_fault_counts", [])
+        ],
+        shard_packets=[int(v) for v in obj.get("shard_packets", [])],
         swap_events=[SwapEvent(**e) for e in obj["swap_events"]],
         chunk_stats=[_chunk_stats_from_obj(s) for s in obj["chunk_stats"]],
         chunk_offsets=[int(v) for v in obj["chunk_offsets"]],
@@ -484,6 +496,36 @@ def service_to_dict(
     }
 
 
+def restore_fault_plan(state: Optional[dict], faults="auto", seed=None):
+    """The fault plan a restored service (or shard) serves with.
+
+    *state* is a checkpointed :meth:`~repro.faults.FaultPlan.state_dict`
+    (or ``None`` when the run had no plan).  ``faults="auto"`` rebuilds
+    the plan from the spec stored in *state* — with *seed* overriding
+    the spec's own, as a cluster shard's fanned-out plan needs — and
+    restores its injector states, so the resumed run continues the
+    uninterrupted fault schedule; an explicit
+    :class:`~repro.faults.FaultPlan` is substituted (with the stored
+    state loaded into it); ``None`` resumes fault-free.
+    """
+    if faults is None:
+        return None
+    if faults == "auto":
+        if state is None:
+            return None
+        if state.get("spec") is None:
+            raise ValueError(
+                "checkpoint holds a fault plan built without a spec; pass "
+                "the plan object via faults=plan"
+            )
+        from repro.faults import FaultPlan
+
+        faults = FaultPlan.from_spec(state["spec"], seed=seed)
+    if state is not None:
+        faults.load_state(state)
+    return faults
+
+
 def restore_service(
     doc: dict,
     model_factory=None,
@@ -493,44 +535,17 @@ def restore_service(
 
     ``model_factory`` re-attaches the retrainer's model builder
     (callables cannot be persisted; None selects the default serving
-    factory).  ``faults`` controls the fault plan: the default
-    ``"auto"`` rebuilds it from the stored spec (and restores injector
-    RNG states, so the resumed run continues the uninterrupted fault
-    schedule); pass an explicit :class:`~repro.faults.FaultPlan` to
-    substitute one, or ``None`` to resume fault-free.
+    factory).  ``faults`` controls the fault plan, see
+    :func:`restore_fault_plan`.
     """
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ValueError(f"not a {SCHEMA} checkpoint document")
-    pipeline = _pipeline_from_obj(doc["pipeline"])
-    retrainer = _retrainer_from_obj(doc["retrainer"], model_factory=model_factory)
-    monitor = _monitor_from_obj(doc["monitor"])
-    config = RuntimeConfig(**doc["config"])
-
-    plan = None
-    faults_doc = doc.get("faults")
-    if faults == "auto":
-        if faults_doc is not None:
-            spec = faults_doc.get("spec")
-            if spec is None:
-                raise ValueError(
-                    "checkpoint holds a fault plan built without a spec; pass "
-                    "the plan object via restore_service(..., faults=plan)"
-                )
-            from repro.faults import FaultPlan
-
-            plan = FaultPlan.from_spec(spec)
-            plan.load_state(faults_doc)
-    elif faults is not None:
-        plan = faults
-        if faults_doc is not None:
-            plan.load_state(faults_doc)
-
     service = OnlineDetectionService(
-        pipeline,
-        retrainer=retrainer,
-        monitor=monitor,
-        config=config,
-        faults=plan,
+        _pipeline_from_obj(doc["pipeline"]),
+        retrainer=_retrainer_from_obj(doc["retrainer"], model_factory=model_factory),
+        monitor=_monitor_from_obj(doc["monitor"]),
+        config=RuntimeConfig(**doc["config"]),
+        faults=restore_fault_plan(doc.get("faults"), faults),
     )
     return service, report_from_dict(doc["report"])
 
@@ -551,6 +566,8 @@ class CheckpointManager:
 
     FILENAME = "checkpoint.json"
     JOURNAL = "journal.jsonl"
+    #: Schemas :meth:`load` accepts.
+    SCHEMAS: Tuple[str, ...] = (SCHEMA,)
 
     def __init__(
         self, directory: PathLike, every: int = 1, meta: Optional[Dict] = None
@@ -609,11 +626,20 @@ class CheckpointManager:
     def exists(directory: PathLike) -> bool:
         return (Path(directory) / CheckpointManager.FILENAME).is_file()
 
-    @staticmethod
-    def load(directory: PathLike) -> dict:
+    @classmethod
+    def load(cls, directory: PathLike) -> dict:
         """The latest checkpoint document of *directory* (raw dict)."""
-        path = Path(directory) / CheckpointManager.FILENAME
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-            raise ValueError(f"{path} is not a {SCHEMA} checkpoint")
-        return doc
+        return _read_checkpoint(directory, cls.SCHEMAS)
+
+
+def _read_checkpoint(directory: PathLike, schemas: Tuple[str, ...]) -> dict:
+    """Read *directory*'s checkpoint, refused unless its schema is one of
+    *schemas*."""
+    path = Path(directory) / CheckpointManager.FILENAME
+    doc = json.loads(path.read_text())
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema not in schemas:
+        raise ValueError(
+            f"{path} is not a {' or '.join(schemas)} checkpoint (schema {schema!r})"
+        )
+    return doc

@@ -125,26 +125,42 @@ class ChunkStats:
     malicious_rate: float
     path_fractions: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def of_chunk(
+        cls, y_pred: np.ndarray, counter_deltas: Dict[str, int]
+    ) -> "ChunkStats":
+        """Stats of one served chunk from its verdicts and the chunk's
+        counter deltas."""
+        n = len(y_pred)
+        if n == 0:
+            return cls(n_packets=0, malicious_rate=0.0)
+        return cls(
+            n_packets=n,
+            malicious_rate=float(np.mean(y_pred)),
+            path_fractions={
+                name.split("switch.path.", 1)[1]: count / n
+                for name, count in counter_deltas.items()
+                if name.startswith("switch.path.") and count > 0
+            },
+        )
+
 
 @dataclass
 class ChunkResult:
-    """One served chunk: its replay outcome plus per-chunk counter deltas."""
+    """One served chunk: its replay outcome plus per-chunk counter deltas.
+
+    ``replay`` is a :class:`~repro.switch.runner.ReplayResult` on the
+    single service and the merged
+    :class:`~repro.cluster.service.ClusterReplayResult` on the cluster,
+    which also reports each shard's share in ``shard_sizes``.
+    """
 
     index: int
     trace: Trace
     replay: ReplayResult
     counters: Dict[str, int]
     stats: ChunkStats
-
-
-def _path_fractions(counter_deltas: Dict[str, int], n_packets: int) -> Dict[str, float]:
-    if n_packets <= 0:
-        return {}
-    return {
-        name.split("switch.path.", 1)[1]: count / n_packets
-        for name, count in counter_deltas.items()
-        if name.startswith("switch.path.") and count > 0
-    }
+    shard_sizes: List[int] = field(default_factory=list)
 
 
 class StreamDriver:
@@ -215,14 +231,9 @@ class StreamDriver:
             policy = getattr(self.pipeline.controller, "policy", None)
             if policy is not None:
                 policy.tick(chunk.packets[-1].timestamp)
-            n = len(chunk)
-            stats = ChunkStats(
-                n_packets=n,
-                malicious_rate=float(np.mean(replay.y_pred)) if n else 0.0,
-                path_fractions=_path_fractions(deltas, n),
-            )
             self.chunks_processed += 1
-            self.packets_processed += n
+            self.packets_processed += len(chunk)
+            stats = ChunkStats.of_chunk(replay.y_pred, deltas)
             yield ChunkResult(
                 index=index, trace=chunk, replay=replay, counters=deltas, stats=stats
             )

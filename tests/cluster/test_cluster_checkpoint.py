@@ -24,8 +24,6 @@ from repro.cluster import (
     ClusterCheckpointManager,
     ClusterService,
     ShmArena,
-    cluster_report_from_dict,
-    cluster_report_to_dict,
     cluster_to_dict,
     load_any_checkpoint,
     restore_cluster,
@@ -33,7 +31,7 @@ from repro.cluster import (
 )
 from repro.faults import FaultPlan, SimulatedKill
 from repro.runtime import Retrainer, RuntimeConfig
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.checkpoint import CheckpointManager, report_from_dict, report_to_dict
 from repro.telemetry import MetricRegistry, use_registry
 from tests.faults.common import (
     PKT_COUNT_THRESHOLD,
@@ -117,7 +115,7 @@ class TestDocumentRoundTrip:
             assert canon(cluster_to_dict(restored, report)) == canon(doc)
 
     def test_report_round_trip(self, baseline):
-        back = cluster_report_from_dict(cluster_report_to_dict(baseline))
+        back = report_from_dict(report_to_dict(baseline))
         np.testing.assert_array_equal(back.y_pred, baseline.y_pred)
         np.testing.assert_array_equal(back.y_true, baseline.y_true)
         assert back.n_shards == baseline.n_shards
@@ -228,10 +226,10 @@ class TestKillAndResume:
         doc = ClusterCheckpointManager.load(tmp_path)
         assert doc["status"] == "complete"
         restored, report = restore_cluster(doc, model_factory=light_model_factory)
-        before = cluster_report_to_dict(report)
+        before = report_to_dict(report)
         with restored, use_registry(MetricRegistry()):
             again = restored.serve(split.stream_trace, resume_report=report)
-        assert cluster_report_to_dict(again) == before
+        assert report_to_dict(again) == before
 
 
 #: A real, whole-process SIGKILL of a *shm-transport* coordinator —

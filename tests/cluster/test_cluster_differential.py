@@ -19,9 +19,10 @@ do not cross the process boundary).
 {in-process, multiprocess-pipe, multiprocess-shm} × {replay, chunked
 serve} — against the same single-pipeline baseline, and
 ``TestFaultMatrixDifferential`` locks the three transports against
-*each other* under an active digest reorder/delay ``FaultPlan``
-(per-shard plans are pure functions of ``(spec, shard_id)``, so the
-transport must not be able to change what the faults do).
+*each other* under an active digest reorder/delay + store-pressure
+``FaultPlan`` (per-shard plans are pure functions of ``(spec,
+shard_id)``, so the transport must not be able to change what the
+faults do — nor whether their ``faults.*`` counters reach the registry).
 """
 
 import numpy as np
@@ -222,8 +223,12 @@ class TestExecutorMatrix:
 
 
 #: Digest reorder + delay active on every shard (p high enough to fire
-#: hundreds of times on this trace), fanned out per shard from one spec.
-FAULT_SPEC = "seed=7;digest_reorder:p=0.4;digest_delay:p=0.3,chunks=2"
+#: hundreds of times on this trace) plus chunk-boundary store pressure,
+#: fanned out per shard from one spec.
+FAULT_SPEC = (
+    "seed=7;digest_reorder:p=0.4;digest_delay:p=0.3,chunks=2;"
+    "store_pressure:p=0.5,fraction=0.2"
+)
 
 
 class TestFaultMatrixDifferential:
@@ -248,6 +253,7 @@ class TestFaultMatrixDifferential:
         report, _ = fault_runs["inprocess"]
         assert report.fault_counts.get("faults.digest_reorder", 0) > 0
         assert report.fault_counts.get("faults.digest_delay", 0) > 0
+        assert report.fault_counts.get("faults.store_pressure", 0) > 0
         # …and on every shard, so the cross-transport equalities below
         # exercise all four fault schedules, not just shard 0's.
         for counts in report.shard_fault_counts:
@@ -264,6 +270,16 @@ class TestFaultMatrixDifferential:
         assert list(report.shard_packets) == list(ref.shard_packets)
         assert report.n_chunks == ref.n_chunks
         assert plain == ref_plain
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_fault_counters_reach_the_registry(self, fault_runs, executor):
+        """Shard injectors fire inside the workers — under a null
+        registry in-process, in another process otherwise — yet every
+        firing must reach the coordinator's registry, so the published
+        ``faults.*`` totals equal the report's on every transport."""
+        report, plain = fault_runs[executor]
+        published = {k: v for k, v in plain.items() if k.startswith("faults.")}
+        assert published == report.fault_counts
 
 
 class TestServeDifferential:
